@@ -1,9 +1,35 @@
 #include "common/codec.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <charconv>
+#include <cstring>
 
 namespace pitract {
 namespace codec {
+
+namespace {
+
+/// Characters std::to_string(v) prints for `v`.
+size_t DecimalLength(int64_t v) {
+  static constexpr std::array<uint64_t, 20> kPow10 = [] {
+    std::array<uint64_t, 20> pow10{};
+    pow10[0] = 1;
+    for (size_t i = 1; i < pow10.size(); ++i) pow10[i] = pow10[i - 1] * 10;
+    return pow10;
+  }();
+  const uint64_t magnitude =
+      v < 0 ? 0 - static_cast<uint64_t>(v) : static_cast<uint64_t>(v);
+  // `| 1` keeps the digit count (no power of ten above 1 is odd) and makes
+  // 0 print as one digit. floor(bits * log10(2)) is the count or one less.
+  const uint64_t x = magnitude | 1;
+  const int guess = (64 - std::countl_zero(x)) * 1233 >> 12;
+  return static_cast<size_t>(guess + (x >= kPow10[guess] ? 1 : 0) +
+                             (v < 0 ? 1 : 0));
+}
+
+}  // namespace
 
 std::string Escape(std::string_view raw) {
   std::string out;
@@ -42,23 +68,50 @@ std::string EncodeFields(const std::vector<std::string>& fields) {
 }
 
 Result<std::vector<std::string>> DecodeFields(std::string_view encoded) {
-  std::vector<std::string> fields;
-  std::string current;
-  for (size_t i = 0; i < encoded.size(); ++i) {
-    char c = encoded[i];
-    if (c == '\\') {
-      if (i + 1 >= encoded.size()) {
+  // One walk over the delimiters only: memchr finds the next '#' and the
+  // next '\\' (each re-searched only once passed), so every field is a
+  // list of spans between escapes, copied whole into an exact-size string.
+  const char* const begin = encoded.data();
+  const char* const end = begin + encoded.size();
+  auto next = [end](const char* from, char c) {
+    const void* hit =
+        from < end ? std::memchr(from, c, static_cast<size_t>(end - from))
+                   : nullptr;
+    return hit != nullptr ? static_cast<const char*>(hit) : end;
+  };
+  // spans[field_end[f - 1] .. field_end[f]) are field f's pieces.
+  std::vector<std::string_view> spans;
+  std::vector<size_t> field_end;
+  const char* hash = next(begin, '#');
+  const char* escape = next(begin, '\\');
+  const char* span = begin;
+  while (true) {
+    if (escape < hash) {
+      if (escape + 1 == end) {
         return Status::InvalidArgument("dangling escape in field encoding");
       }
-      current.push_back(encoded[++i]);
-    } else if (c == '#') {
-      fields.push_back(std::move(current));
-      current.clear();
-    } else {
-      current.push_back(c);
+      // The escaped byte starts the next span; a '#' there is literal.
+      spans.emplace_back(span, escape - span);
+      span = escape + 1;
+      if (hash == span) hash = next(span + 1, '#');
+      escape = next(span + 1, '\\');
+      continue;
     }
+    spans.emplace_back(span, hash - span);
+    field_end.push_back(spans.size());
+    if (hash == end) break;
+    span = hash + 1;
+    hash = next(span, '#');
   }
-  fields.push_back(std::move(current));
+  std::vector<std::string> fields(field_end.size());
+  size_t first = 0;
+  for (size_t f = 0; f < field_end.size(); ++f) {
+    size_t size = 0;
+    for (size_t i = first; i < field_end[f]; ++i) size += spans[i].size();
+    fields[f].reserve(size);
+    for (size_t i = first; i < field_end[f]; ++i) fields[f] += spans[i];
+    first = field_end[f];
+  }
   return fields;
 }
 
@@ -79,16 +132,27 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
 }
 
 std::string EncodeInts(const std::vector<int64_t>& values) {
-  std::string out;
+  if (values.empty()) return {};
+  // Size the string exactly, then let to_chars write straight into it.
+  size_t size = values.size() - 1;
+  for (int64_t v : values) size += DecimalLength(v);
+  std::string out(size, '\0');
+  char* p = out.data();
+  char* const end = p + size;
   for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    out += std::to_string(values[i]);
+    if (i > 0) *p++ = ',';
+    p = std::to_chars(p, end, values[i]).ptr;
   }
   return out;
 }
 
 Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
   std::vector<int64_t> values;
+  if (!encoded.empty()) {
+    values.reserve(static_cast<size_t>(
+                       std::count(encoded.begin(), encoded.end(), ',')) +
+                   1);
+  }
   PITRACT_RETURN_IF_ERROR(DecodeIntsInto(encoded, &values));
   return values;
 }
@@ -96,25 +160,25 @@ Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
 Status DecodeIntsInto(std::string_view encoded, std::vector<int64_t>* out) {
   out->clear();
   if (encoded.empty()) return Status::OK();
-  size_t pos = 0;
-  while (pos <= encoded.size()) {
-    size_t comma = encoded.find(',', pos);
-    std::string_view token = encoded.substr(
-        pos, comma == std::string_view::npos ? std::string_view::npos
-                                             : comma - pos);
+  // from_chars runs straight over the buffer and stops at the ',' that
+  // ends each token; no token is sliced out unless it is malformed.
+  const char* p = encoded.data();
+  const char* const end = p + encoded.size();
+  while (true) {
     int64_t value = 0;
-    auto [ptr, ec] =
-        std::from_chars(token.data(), token.data() + token.size(), value);
-    if (ec != std::errc() || ptr != token.data() + token.size()) {
+    const auto [ptr, ec] = std::from_chars(p, end, value);
+    if (ec != std::errc() || (ptr != end && *ptr != ',')) {
       out->clear();
+      const void* comma = std::memchr(p, ',', static_cast<size_t>(end - p));
+      const char* token_end =
+          comma != nullptr ? static_cast<const char*>(comma) : end;
       return Status::InvalidArgument("malformed integer token: '" +
-                                     std::string(token) + "'");
+                                     std::string(p, token_end) + "'");
     }
     out->push_back(value);
-    if (comma == std::string_view::npos) break;
-    pos = comma + 1;
+    if (ptr == end) return Status::OK();
+    p = ptr + 1;
   }
-  return Status::OK();
 }
 
 std::string PadPair(std::string_view first, std::string_view second) {

@@ -201,9 +201,14 @@ Result<BatchResult> RunBatch(BatchPath* path);
 /// lock-free; writers use lock-striped shards plus in-flight Π
 /// deduplication), and the typed-case cache is guarded by its own mutex
 /// with instances held through shared_ptr so eviction never invalidates a
-/// running batch. A warm `AnswerBatch(handle, ...)` therefore scales with
-/// cores: it acquires no mutex and writes no shared cache line
-/// (`PreparedStore::Stats::locked_hits` counts the exceptions).
+/// running batch. A warm `AnswerBatch(handle, ...)` acquires no store
+/// mutex (`PreparedStore::Stats::locked_hits` counts the exceptions), but
+/// it does write shared cache lines: `PreparedStore::Touch` bumps the
+/// entry's `hit_count` on every hit, `NoteAnswered` adds to the witness's
+/// `CostProfile` (one profile for every data part of that witness) on
+/// every batch, and under `CostModel::Policy::kAdaptive` `NoteTraffic`
+/// takes the cost model's mutex. Hot handles shared by many threads
+/// therefore contend on those lines.
 class QueryEngine {
  public:
   /// `store_capacity` bounds the PreparedStore (entry count) and

@@ -10,6 +10,10 @@ namespace graph {
 Result<Graph> Graph::FromEdges(
     NodeId num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges,
     bool directed, bool dedup) {
+  if (num_nodes < 0) {
+    return Status::InvalidArgument("negative node count n=" +
+                                   std::to_string(num_nodes));
+  }
   for (const auto& [u, v] : edges) {
     if (u < 0 || u >= num_nodes || v < 0 || v >= num_nodes) {
       return Status::InvalidArgument(
@@ -21,42 +25,57 @@ Result<Graph> Graph::FromEdges(
   g.num_nodes_ = num_nodes;
   g.directed_ = directed;
 
-  // Materialize arcs (both directions for undirected graphs).
-  std::vector<std::pair<NodeId, NodeId>> arcs;
-  arcs.reserve(edges.size() * (directed ? 1 : 2));
+  // Counting sort of the arcs (both directions for undirected graphs) by
+  // source, then a sort (and with `dedup` a unique) within each row: the
+  // CSR a sort of every (source, target) pair would give, without that
+  // sort or the pair array.
+  const auto n = static_cast<size_t>(num_nodes);
+  g.offsets_.assign(n + 1, 0);
   for (const auto& [u, v] : edges) {
-    arcs.emplace_back(u, v);
-    if (!directed && u != v) arcs.emplace_back(v, u);
-  }
-  std::sort(arcs.begin(), arcs.end());
-  if (dedup) {
-    arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
-  }
-
-  g.offsets_.assign(static_cast<size_t>(num_nodes) + 1, 0);
-  for (const auto& [u, v] : arcs) {
-    (void)v;
     ++g.offsets_[static_cast<size_t>(u) + 1];
+    if (!directed && u != v) ++g.offsets_[static_cast<size_t>(v) + 1];
   }
-  for (size_t i = 1; i < g.offsets_.size(); ++i) {
-    g.offsets_[i] += g.offsets_[i - 1];
-  }
-  g.adj_.reserve(arcs.size());
-  for (const auto& [u, v] : arcs) {
-    (void)u;
-    g.adj_.push_back(v);
-  }
-  if (directed) {
-    g.num_edges_ = static_cast<int64_t>(arcs.size());
-  } else {
-    // Count undirected edges once: self-loops appear once in `arcs`,
-    // ordinary edges twice.
-    int64_t self_loops = 0;
-    for (const auto& [u, v] : arcs) {
-      if (u == v) ++self_loops;
+  for (size_t i = 1; i <= n; ++i) g.offsets_[i] += g.offsets_[i - 1];
+  g.adj_.resize(static_cast<size_t>(g.offsets_[n]));
+  {
+    std::vector<int64_t> cursor(g.offsets_.begin(), g.offsets_.end() - 1);
+    for (const auto& [u, v] : edges) {
+      g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(u)]++)] = v;
+      if (!directed && u != v) {
+        g.adj_[static_cast<size_t>(cursor[static_cast<size_t>(v)]++)] = u;
+      }
     }
-    g.num_edges_ = (static_cast<int64_t>(arcs.size()) - self_loops) / 2 +
-                   self_loops;
+  }
+  // Rows are sorted in place and, with dedup, compacted leftwards.
+  int64_t self_loops = 0;
+  int64_t write = 0;
+  for (size_t u = 0; u < n; ++u) {
+    NodeId* const row = g.adj_.data() + g.offsets_[u];
+    NodeId* row_end = g.adj_.data() + g.offsets_[u + 1];
+    if (row_end - row > 1) {
+      std::sort(row, row_end);
+      if (dedup) row_end = std::unique(row, row_end);
+    }
+    if (!directed) {
+      const auto self =
+          std::equal_range(row, row_end, static_cast<NodeId>(u));
+      self_loops += self.second - self.first;
+    }
+    g.offsets_[u] = write;
+    if (row != g.adj_.data() + write) {
+      std::copy(row, row_end, g.adj_.data() + write);
+    }
+    write += row_end - row;
+  }
+  g.offsets_[n] = write;
+  g.adj_.resize(static_cast<size_t>(write));
+  g.adj_.shrink_to_fit();
+  if (directed) {
+    g.num_edges_ = write;
+  } else {
+    // Count undirected edges once: self-loops are stored once, ordinary
+    // edges twice.
+    g.num_edges_ = (write - self_loops) / 2 + self_loops;
   }
   return g;
 }

@@ -1,6 +1,7 @@
 #include "incremental/incremental_tc.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/serde.h"
@@ -79,11 +80,18 @@ Result<int64_t> IncrementalTransitiveClosure::InsertEdge(graph::NodeId u,
       last_insert_work_ += dx.num_words();
       if (!changed) continue;
       changed_pairs += dx.Count() - before;
-      // Maintain ancestor rows for each node v's subtree made reachable.
-      for (graph::NodeId y = 0; y < n_; ++y) {
-        if (dv.Test(y) && !anc_[static_cast<size_t>(y)].Test(x)) {
-          anc_[static_cast<size_t>(y)].Set(x);
-          ++last_insert_work_;
+      // Maintain ancestor rows for each node v's subtree made reachable:
+      // visit only the set bits of desc(v), not all n nodes.
+      const auto& dv_words = dv.words();
+      for (size_t dw = 0; dw < dv_words.size(); ++dw) {
+        for (uint64_t bits = dv_words[dw]; bits != 0; bits &= bits - 1) {
+          const auto y =
+              static_cast<graph::NodeId>(dw * 64 + std::countr_zero(bits));
+          reach::Bitset& ay = anc_[static_cast<size_t>(y)];
+          if (!ay.Test(x)) {
+            ay.Set(x);
+            ++last_insert_work_;
+          }
         }
       }
     }
@@ -238,11 +246,19 @@ IncrementalTransitiveClosure::Deserialize(std::string_view bytes) {
   if (reader.remaining() != static_cast<size_t>(2 * n * wpr * 8 + 8 * m)) {
     return Status::InvalidArgument("closure image: truncated or oversized");
   }
+  // Bits at or above n in a row's last word would name nodes that do not
+  // exist; InsertEdge walks set bits unchecked, so such a row is refused.
+  const uint64_t past_n =
+      n % 64 == 0 ? 0 : ~uint64_t{0} << static_cast<unsigned>(n % 64);
   IncrementalTransitiveClosure tc(n);
   for (auto* rows : {&tc.desc_, &tc.anc_}) {
     for (reach::Bitset& row : *rows) {
       for (int64_t w = 0; w < wpr; ++w) {
         PITRACT_ASSIGN_OR_RETURN(uint64_t word, reader.ReadU64());
+        if (w == wpr - 1 && (word & past_n) != 0) {
+          return Status::InvalidArgument(
+              "closure image: row bit past node count");
+        }
         row.SetWord(w, word);
       }
     }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <limits>
 #include <set>
 #include <thread>
 #include <vector>
@@ -227,11 +229,21 @@ TEST(CodecTest, NestedFieldEncodingsRoundTrip) {
 }
 
 TEST(CodecTest, IntsRoundTrip) {
-  std::vector<int64_t> values = {0, -1, 42, 9223372036854775807LL,
-                                 -9223372036854775807LL};
-  auto back = codec::DecodeInts(codec::EncodeInts(values));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, values);
+  const int64_t lo = std::numeric_limits<int64_t>::min();
+  const int64_t hi = std::numeric_limits<int64_t>::max();
+  const std::vector<std::vector<int64_t>> cases = {
+      {0, -1, 42, hi, -hi},
+      {0},
+      {-1},
+      {lo},
+      {hi},
+      {lo, hi, lo + 1, hi - 1, 0, 1, -1},
+  };
+  for (const auto& values : cases) {
+    auto back = codec::DecodeInts(codec::EncodeInts(values));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, values);
+  }
 }
 
 TEST(CodecTest, EmptyIntsRoundTrip) {
@@ -329,6 +341,192 @@ TEST_P(CodecPropertyTest, RandomRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// Reference decoders: the token-slicing and byte-at-a-time forms the
+// single-pass codec replaced. The codec must agree with them on every
+// input, down to the Status code and message.
+Status ReferenceDecodeInts(std::string_view encoded,
+                           std::vector<int64_t>* out) {
+  out->clear();
+  if (encoded.empty()) return Status::OK();
+  size_t pos = 0;
+  while (pos <= encoded.size()) {
+    size_t comma = encoded.find(',', pos);
+    std::string_view token = encoded.substr(
+        pos, comma == std::string_view::npos ? std::string_view::npos
+                                             : comma - pos);
+    int64_t value = 0;
+    auto [ptr, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), value);
+    if (ec != std::errc() || ptr != token.data() + token.size()) {
+      out->clear();
+      return Status::InvalidArgument("malformed integer token: '" +
+                                     std::string(token) + "'");
+    }
+    out->push_back(value);
+    if (comma == std::string_view::npos) break;
+    pos = comma + 1;
+  }
+  return Status::OK();
+}
+
+Result<std::vector<std::string>> ReferenceDecodeFields(
+    std::string_view encoded) {
+  std::vector<std::string> fields;
+  std::string current;
+  for (size_t i = 0; i < encoded.size(); ++i) {
+    char c = encoded[i];
+    if (c == '\\') {
+      if (i + 1 >= encoded.size()) {
+        return Status::InvalidArgument("dangling escape in field encoding");
+      }
+      current.push_back(encoded[++i]);
+    } else if (c == '#') {
+      fields.push_back(std::move(current));
+      current.clear();
+    } else {
+      current.push_back(c);
+    }
+  }
+  fields.push_back(std::move(current));
+  return fields;
+}
+
+std::string ReferenceEncodeInts(const std::vector<int64_t>& values) {
+  std::string out;
+  for (size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) out.push_back(',');
+    out += std::to_string(values[i]);
+  }
+  return out;
+}
+
+/// Decodes `encoded` both ways and checks the outcomes match exactly.
+void ExpectIntsAgree(std::string_view encoded) {
+  SCOPED_TRACE("input '" + std::string(encoded) + "'");
+  std::vector<int64_t> want;
+  const Status want_status = ReferenceDecodeInts(encoded, &want);
+  auto got = codec::DecodeInts(encoded);
+  EXPECT_EQ(got.status(), want_status);
+  if (got.ok()) {
+    EXPECT_EQ(*got, want);
+  }
+  std::vector<int64_t> reused = {7, 8, 9};
+  EXPECT_EQ(codec::DecodeIntsInto(encoded, &reused), want_status);
+  EXPECT_EQ(reused, want);  // cleared on failure, like the reference
+}
+
+TEST(CodecIntsTest, EncodeIntsPrintsLikeToString) {
+  // Every power-of-ten boundary, both signs, and the extremes.
+  std::vector<int64_t> values = {std::numeric_limits<int64_t>::min(),
+                                 std::numeric_limits<int64_t>::max()};
+  for (int64_t p = 1; p <= std::numeric_limits<int64_t>::max() / 10; p *= 10) {
+    for (int64_t v : {p - 1, p, p + 1, 10 * p - 1}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  EXPECT_EQ(codec::EncodeInts(values), ReferenceEncodeInts(values));
+  EXPECT_EQ(codec::EncodeInts({values[0]}), "-9223372036854775808");
+  EXPECT_EQ(codec::EncodeInts({values[1]}), "9223372036854775807");
+}
+
+TEST(CodecIntsTest, MalformedTokensMatchTheReferenceStatus) {
+  for (const char* encoded :
+       {"1,two,3", "1,,3", "1,", ",", ",1", ",,", "-", "+1", " 1", "1 ",
+        "12a,3", "0x10", "1.5", "--1", "1-", "9223372036854775807",
+        "9223372036854775808", "-9223372036854775808",
+        "-9223372036854775809", "99999999999999999999,1", "1,2,3,"}) {
+    ExpectIntsAgree(encoded);
+  }
+  EXPECT_EQ(codec::DecodeInts("1,").status(),
+            Status::InvalidArgument("malformed integer token: ''"));
+  EXPECT_EQ(codec::DecodeInts("4,12a,3").status(),
+            Status::InvalidArgument("malformed integer token: '12a'"));
+}
+
+class CodecIntsPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CodecIntsPropertyTest, RandomListsRoundTripWithExactCapacity) {
+  Rng rng(GetParam());
+  std::vector<int64_t> reused;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<int64_t> values(rng.NextBelow(300));
+    for (int64_t& v : values) {
+      // Random magnitude so every digit count shows up.
+      const int shift = static_cast<int>(rng.NextBelow(64));
+      v = static_cast<int64_t>(rng.Next() >> shift);
+      if (rng.NextBool()) v = -v;
+    }
+    const std::string encoded = codec::EncodeInts(values);
+    EXPECT_EQ(encoded, ReferenceEncodeInts(values));
+    if (encoded.size() > 15) {
+      EXPECT_EQ(encoded.capacity(), encoded.size());
+    }
+    auto back = codec::DecodeInts(encoded);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(*back, values);
+    EXPECT_EQ(back->capacity(), back->size());
+    ASSERT_TRUE(codec::DecodeIntsInto(encoded, &reused).ok());
+    EXPECT_EQ(reused, values);
+  }
+}
+
+TEST_P(CodecIntsPropertyTest, RandomTextDecodesLikeTheReference) {
+  Rng rng(GetParam());
+  const char alphabet[] = "0123456789,,-+ x";
+  for (int trial = 0; trial < 400; ++trial) {
+    std::string encoded;
+    for (uint64_t i = rng.NextBelow(24); i > 0; --i) {
+      encoded.push_back(alphabet[rng.NextBelow(sizeof(alphabet) - 1)]);
+    }
+    ExpectIntsAgree(encoded);
+  }
+}
+
+TEST_P(CodecIntsPropertyTest, DecodeFieldsMatchesReferenceEitherWay) {
+  Rng rng(GetParam());
+  const char alphabet[] = "ab#@\\,01";
+  for (int trial = 0; trial < 400; ++trial) {
+    // Raw text, dangling escapes included.
+    std::string raw;
+    for (uint64_t i = rng.NextBelow(24); i > 0; --i) {
+      raw.push_back(alphabet[rng.NextBelow(sizeof(alphabet) - 1)]);
+    }
+    auto want = ReferenceDecodeFields(raw);
+    auto got = codec::DecodeFields(raw);
+    EXPECT_EQ(got.status(), want.status()) << raw;
+    if (got.ok() && want.ok()) {
+      EXPECT_EQ(*got, *want) << raw;
+    }
+
+    // The same field list, encoded with escapes (delimiters in the fields)
+    // and without (delimiters stripped), decodes to what was encoded.
+    std::vector<std::string> fields(1 + rng.NextBelow(4));
+    for (std::string& field : fields) {
+      for (uint64_t i = rng.NextBelow(12); i > 0; --i) {
+        field.push_back(alphabet[rng.NextBelow(sizeof(alphabet) - 1)]);
+      }
+    }
+    std::vector<std::string> plain = fields;
+    for (std::string& field : plain) {
+      std::erase_if(field, [](char c) { return c == '#' || c == '\\'; });
+    }
+    for (const auto& list : {fields, plain}) {
+      auto back = codec::DecodeFields(codec::EncodeFields(list));
+      ASSERT_TRUE(back.ok());
+      EXPECT_EQ(*back, list);
+      for (const std::string& field : *back) {
+        if (field.size() > 15) {
+          EXPECT_EQ(field.capacity(), field.size());
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecIntsPropertyTest,
+                         ::testing::Values(11, 12, 13, 14));
 
 // ---------------------------------------------------------------------------
 // serde: length-prefixed binary framing (PreparedStore spill files)

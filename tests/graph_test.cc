@@ -84,6 +84,109 @@ TEST(GraphTest, EncodeDecodeUndirected) {
   EXPECT_FALSE(back->directed());
 }
 
+/// The CSR a sort of every arc pair gives: each node's sorted row (with
+/// `dedup`, unique) and the edge count FromEdges reports.
+struct ReferenceCsr {
+  std::vector<std::vector<NodeId>> rows;
+  int64_t num_edges = 0;
+};
+
+ReferenceCsr SortUniqueReference(
+    NodeId n, const std::vector<std::pair<NodeId, NodeId>>& edges,
+    bool directed, bool dedup) {
+  std::vector<std::pair<NodeId, NodeId>> arcs;
+  for (const auto& [u, v] : edges) {
+    arcs.emplace_back(u, v);
+    if (!directed && u != v) arcs.emplace_back(v, u);
+  }
+  std::sort(arcs.begin(), arcs.end());
+  if (dedup) arcs.erase(std::unique(arcs.begin(), arcs.end()), arcs.end());
+  ReferenceCsr ref;
+  ref.rows.resize(static_cast<size_t>(n));
+  int64_t self_loops = 0;
+  for (const auto& [u, v] : arcs) {
+    ref.rows[static_cast<size_t>(u)].push_back(v);
+    if (u == v) ++self_loops;
+  }
+  const auto total = static_cast<int64_t>(arcs.size());
+  ref.num_edges = directed ? total : (total - self_loops) / 2 + self_loops;
+  return ref;
+}
+
+class FromEdgesPropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(FromEdgesPropertyTest, CsrMatchesSortUniqueReference) {
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto n = static_cast<NodeId>(1 + rng.NextBelow(40));
+    std::vector<std::pair<NodeId, NodeId>> edges;
+    for (uint64_t i = rng.NextBelow(120); i > 0; --i) {
+      const auto u = static_cast<NodeId>(rng.NextBelow(n));
+      // Self-loops and parallel edges both show up often.
+      const auto v =
+          rng.NextBool(0.15) ? u : static_cast<NodeId>(rng.NextBelow(n));
+      edges.emplace_back(u, v);
+      if (rng.NextBool(0.2)) edges.emplace_back(u, v);
+      if (rng.NextBool(0.1)) edges.emplace_back(v, u);
+    }
+    // One hub row long enough to exercise the per-row sort.
+    for (int i = 0; i < 64; ++i) {
+      edges.emplace_back(0, static_cast<NodeId>(rng.NextBelow(n)));
+    }
+    for (bool directed : {true, false}) {
+      for (bool dedup : {true, false}) {
+        SCOPED_TRACE(testing::Message() << "trial " << trial << " directed "
+                                        << directed << " dedup " << dedup);
+        auto g = Graph::FromEdges(n, edges, directed, dedup);
+        ASSERT_TRUE(g.ok()) << g.status().ToString();
+        const ReferenceCsr ref =
+            SortUniqueReference(n, edges, directed, dedup);
+        EXPECT_EQ(g->num_edges(), ref.num_edges);
+        int64_t stored = 0;
+        for (NodeId u = 0; u < n; ++u) {
+          auto row = g->OutNeighbors(u);
+          EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
+                    ref.rows[static_cast<size_t>(u)])
+              << "row " << u;
+          stored += g->OutDegree(u);
+        }
+        EXPECT_EQ(g->EstimateBytes(),
+                  static_cast<int64_t>((n + 1) * sizeof(int64_t) +
+                                       stored * sizeof(NodeId)));
+      }
+    }
+  }
+}
+
+TEST(GraphTest, EmptyAndEdgelessGraphs) {
+  for (NodeId n : {0, 5}) {
+    for (bool directed : {true, false}) {
+      auto g = Graph::FromEdges(n, {}, directed);
+      ASSERT_TRUE(g.ok());
+      EXPECT_EQ(g->num_nodes(), n);
+      EXPECT_EQ(g->num_edges(), 0);
+      for (NodeId u = 0; u < n; ++u) EXPECT_EQ(g->OutDegree(u), 0);
+    }
+  }
+  // A negative node count is refused where it enters, also when it comes
+  // from an encoded data part.
+  for (bool directed : {true, false}) {
+    auto negative = Graph::FromEdges(-1, {}, directed);
+    ASSERT_FALSE(negative.ok());
+    EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto decoded = Graph::Decode(Graph::FromEdges(3, {}, true)->Encode());
+  ASSERT_TRUE(decoded.ok());
+  std::string encoded = decoded->Encode();
+  ASSERT_EQ(encoded.substr(0, 2), "3#");
+  auto negative_decode = Graph::Decode("-5" + encoded.substr(1));
+  ASSERT_FALSE(negative_decode.ok());
+  EXPECT_EQ(negative_decode.status().code(), StatusCode::kInvalidArgument);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FromEdgesPropertyTest,
+                         ::testing::Values(1, 2, 3, 4));
+
 TEST(BfsTest, DistancesOnPath) {
   Graph g = Path(5, /*directed=*/true);
   auto dist = BfsDistances(g, 0);

@@ -22,11 +22,13 @@
 
 #include "circuit/generators.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/engine.h"
 #include "engine/prepared_store.h"
 #include "graph/generators.h"
+#include "incremental/incremental_tc.h"
 
 namespace pitract {
 namespace engine {
@@ -311,6 +313,67 @@ TEST(SpillCorruptionTest, CorruptFramesDegradeToRecomputeWithCorrectAnswers) {
       }
       fs::remove_all(dir);
     }
+  }
+}
+
+TEST(SpillCorruptionTest, ClosureRowBitPastNodeCountIsRejected) {
+  // A frame re-checksummed after tampering (or one whose damage collides
+  // with the checksum) passes the frame layer, so the closure image itself
+  // must refuse a row bit naming a node >= n: InsertEdge walks the set
+  // bits of a row without a bound check.
+  for (const WitnessCase& c : BuildWitnessCases()) {
+    if (c.problem != "graph-reachability") continue;
+    ASSERT_FALSE(c.frame.empty());
+    const FrameOffsets offsets = OffsetsOf(c.frame);
+    const size_t payload_size = offsets.trailing_size - offsets.payload_bytes;
+    ASSERT_TRUE(incremental::IncrementalTransitiveClosure::Deserialize(
+                    std::string_view(c.frame).substr(offsets.payload_bytes,
+                                                     payload_size))
+                    .ok());
+    // The image is [tag][n][m] then desc row 0: with n = 32 each row is
+    // one word, and bit 32 of it (byte 4) is past the node count.
+    std::string tampered = c.frame;
+    const size_t row0 = offsets.payload_bytes + 24;
+    tampered[row0 + 4] = static_cast<char>(
+        static_cast<unsigned char>(tampered[row0 + 4]) | 0x01);
+    std::string checksum;
+    serde::PutU64(&checksum,
+                  serde::Checksum64(std::string_view(tampered).substr(16)));
+    tampered.replace(8, 8, checksum);
+
+    auto image = incremental::IncrementalTransitiveClosure::Deserialize(
+        std::string_view(tampered).substr(offsets.payload_bytes,
+                                          payload_size));
+    ASSERT_FALSE(image.ok());
+    EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument);
+
+    // The frame layer admits it, so it is the Δ-patch (Deserialize, then
+    // InsertEdge) that meets the stray bit: the patch is refused and the
+    // post-delta part recomputes on its first miss, answering what a
+    // pristine engine answers.
+    const std::string dir = UniqueTempDir("rowbit");
+    WriteFrame(dir, tampered);
+    auto engine = MakeEngine();
+    auto loaded = engine->store().Load(dir);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(*loaded, 1u);
+    DeltaBatch delta;
+    DeltaOp op;
+    op.kind = DeltaOp::Kind::kEdgeInsert;
+    op.a = 0;
+    op.b = 31;
+    delta.ops.push_back(op);
+    auto outcome = engine->ApplyDelta(c.problem, c.data, delta);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_FALSE(outcome->patched);
+    auto pristine = MakeEngine();
+    auto want = pristine->AnswerBatch(c.problem, outcome->new_data, c.queries);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto got = engine->AnswerBatch(c.problem, outcome->new_data, c.queries);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got->prepare_runs, 1);
+    EXPECT_EQ(got->answers, want->answers);
+    fs::remove_all(dir);
   }
 }
 
