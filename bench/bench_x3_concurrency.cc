@@ -1,6 +1,6 @@
 // X3b — the serving layer under concurrent traffic.
 //
-// Two measurements, both driven through engine::ServeParallel:
+// Four measurements, all driven through engine::ServePipeline:
 //
 //  1. Cold-store scaling ("x3_concurrency" rows): a workload of query
 //     batches over K distinct data parts at increasing thread counts,
@@ -53,6 +53,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +71,38 @@ namespace {
 using pitract::Rng;
 namespace core = pitract::core;
 namespace engine = pitract::engine;
+
+/// One closed-loop run: `workload` x `repeat` through a fresh ServePipeline
+/// with `threads` answer workers, timed around the whole pipeline lifetime
+/// (worker start-up, submission, drain and join).
+struct TimedRun {
+  engine::ServeReport report;
+  double wall_seconds = 0;
+
+  double queries_per_second() const {
+    return wall_seconds > 0 ? static_cast<double>(report.queries) / wall_seconds
+                            : 0;
+  }
+};
+
+TimedRun ServeTimed(engine::QueryEngine* eng,
+                    std::span<const engine::ServeWorkItem> workload,
+                    int threads, int repeat) {
+  engine::PipelineOptions options;
+  options.threads = threads;
+  TimedRun run;
+  const auto start = std::chrono::steady_clock::now();
+  {
+    engine::ServePipeline pipeline(eng, options);
+    pipeline.SubmitWorkload(workload, repeat);
+    pipeline.Drain();
+    run.report = pipeline.report();
+  }
+  run.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  return run;
+}
 
 struct Config {
   int data_parts = 16;
@@ -146,10 +179,8 @@ int RunColdScaling(const Config& config, std::FILE* json, unsigned hw,
                    status.ToString().c_str());
       return 1;
     }
-    engine::ServeOptions options;
-    options.threads = threads;
-    options.repeat = config.repeat;
-    auto report = engine::ServeParallel(&eng, workload, options);
+    const TimedRun run = ServeTimed(&eng, workload, threads, config.repeat);
+    const engine::ServeReport& report = run.report;
     if (report.errors != 0) {
       std::fprintf(stderr, "serving errors: %lld (first: %s)\n",
                    static_cast<long long>(report.errors),
@@ -165,8 +196,8 @@ int RunColdScaling(const Config& config, std::FILE* json, unsigned hw,
     std::printf("%8d %12lld %12lld %10lld %12.4f %12.0f\n", threads,
                 static_cast<long long>(report.batches),
                 static_cast<long long>(report.queries),
-                static_cast<long long>(report.pi_runs), report.wall_seconds,
-                report.queries_per_second);
+                static_cast<long long>(report.pi_runs), run.wall_seconds,
+                run.queries_per_second());
     if (json != nullptr) {
       // Row identity + derived rates stay inline; every counter comes from
       // the one ServeReport::ToJson() blob instead of a hand-picked subset.
@@ -174,9 +205,9 @@ int RunColdScaling(const Config& config, std::FILE* json, unsigned hw,
                    "{\"bench\":\"x3_concurrency\",\"threads\":%d,"
                    "\"data_parts\":%d,\"wall_ns\":%.0f,\"ns_per_query\":%.1f,"
                    "\"hardware_concurrency\":%u,\"report\":%s}\n",
-                   threads, config.data_parts, report.wall_seconds * 1e9,
+                   threads, config.data_parts, run.wall_seconds * 1e9,
                    report.queries > 0
-                       ? report.wall_seconds * 1e9 /
+                       ? run.wall_seconds * 1e9 /
                              static_cast<double>(report.queries)
                        : 0.0,
                    hw, report.ToJson().c_str());
@@ -241,9 +272,6 @@ int RunWarmContention(const Config& config, std::FILE* json, unsigned hw,
     }
     // Warm every handle this workload touches (and the rest) once, so the
     // measured passes never run Π or take the miss path.
-    engine::ServeOptions warmup;
-    warmup.threads = 1;
-    warmup.repeat = 1;
     std::vector<engine::ServeWorkItem> all;
     for (const auto& handle : handles) {
       engine::ServeWorkItem item;
@@ -251,19 +279,18 @@ int RunWarmContention(const Config& config, std::FILE* json, unsigned hw,
       item.queries = queries;
       all.push_back(std::move(item));
     }
-    auto warm = engine::ServeParallel(&eng, all, warmup);
-    if (warm.errors != 0) {
+    const TimedRun warm = ServeTimed(&eng, all, /*threads=*/1, /*repeat=*/1);
+    if (warm.report.errors != 0) {
       std::fprintf(stderr, "warm-up errors: %s\n",
-                   warm.first_error.ToString().c_str());
+                   warm.report.first_error.ToString().c_str());
       return 1;
     }
 
     for (int threads : config.thread_counts) {
       eng.store().ResetStats();
-      engine::ServeOptions options;
-      options.threads = threads;
-      options.repeat = config.contention_repeat;
-      auto report = engine::ServeParallel(&eng, workload, options);
+      const TimedRun run =
+          ServeTimed(&eng, workload, threads, config.contention_repeat);
+      const engine::ServeReport& report = run.report;
       if (report.errors != 0) {
         std::fprintf(stderr, "serving errors: %s\n",
                      report.first_error.ToString().c_str());
@@ -286,7 +313,7 @@ int RunWarmContention(const Config& config, std::FILE* json, unsigned hw,
       }
       std::printf("%8d %6s %12lld %12.4f %12.0f %12lld\n", threads,
                   distribution, static_cast<long long>(report.queries),
-                  report.wall_seconds, report.queries_per_second,
+                  run.wall_seconds, run.queries_per_second(),
                   static_cast<long long>(stats.locked_hits));
       if (json != nullptr) {
         // Serving-side counters via ServeReport::ToJson(), store-side (the
@@ -298,9 +325,9 @@ int RunWarmContention(const Config& config, std::FILE* json, unsigned hw,
                      "\"ns_per_query\":%.1f,\"hardware_concurrency\":%u,"
                      "\"report\":%s,\"store\":%s}\n",
                      distribution, threads, config.data_parts,
-                     report.wall_seconds * 1e9,
+                     run.wall_seconds * 1e9,
                      report.queries > 0
-                         ? report.wall_seconds * 1e9 /
+                         ? run.wall_seconds * 1e9 /
                                static_cast<double>(report.queries)
                          : 0.0,
                      hw, report.ToJson().c_str(), stats.ToJson().c_str());

@@ -5,26 +5,21 @@
 // warm path re-touches the whole data part. This harness measures exactly
 // that, per view-enabled builtin, on a warm PreparedStore:
 //
-//   * path=view   — the decoded Π-view layer (PiWitness::deserialize /
-//     answer_view, memoized per store entry): expected *flat* ns/query
-//     as |D| doubles;
-//   * path=string — the same witnesses with views stripped
-//     (BuiltinOptions::enable_views = false), so every query re-decodes
-//     the Σ*-encoded Π(D): expected ns/query growing linearly in |D|;
+//   * path=view   — the decoded Π-view layer (PiWitness::deserialize,
+//     memoized per store entry, probed by answer_view_batch): expected
+//     *flat* ns/query as |D| doubles;
+//   * path=string — the same witnesses with their view and batch hooks
+//     cleared before registration, so every query re-decodes the
+//     Σ*-encoded Π(D): expected ns/query growing linearly in |D|;
 //   * metric=admission — per-batch overhead of the string-keyed
 //     AnswerBatch (O(|D|) key copy + hash per batch) against the
 //     digest-handle AnswerBatch (QueryEngine::Intern pays it once); the
 //     handle loop must leave PreparedStore::Stats::key_builds untouched,
 //     checked here and enforced again in engine_test.
 //   * metric=batch — the vectorised kernel layer (answer_view_batch, one
-//     pre-decoded span per batch) against the same engine with batch hooks
-//     stripped (BuiltinOptions::enable_batch_kernels = false, i.e. the
-//     per-query answer_view loop), across batch sizes; rows report
+//     pre-decoded span per batch) across batch sizes; rows report
 //     queries/sec/core and bytes/query so the remaining distance to the
 //     hardware's random-access floor is visible.
-//   * metric=sorted — batch-local access-locality scheduling
-//     (AnswerOptions::sort_probes): big kernel batches answered in probe-
-//     address order vs arrival order on the same warm handle.
 //
 // One JSON line per measurement is appended to BENCH_x5_answer_latency.json
 // (or argv[1]) in the f2_landscape trajectory convention. Every row carries
@@ -131,6 +126,30 @@ Workload MakeReachWorkload(int64_t n, Rng* rng, int num_queries) {
   return w;
 }
 
+/// Registers every builtin into `eng` on its string `answer` path only:
+/// each entry is copied out of DefaultEngine() with its view and batch
+/// hooks cleared (and fresh cost profiles), so every query re-decodes Π(D).
+pitract::Status RegisterStringPathBuiltins(engine::QueryEngine* eng) {
+  auto strip = [](core::PiWitness* w) {
+    w->deserialize = nullptr;
+    w->answer_view = nullptr;
+    w->decode_query = nullptr;
+    w->answer_view_batch = nullptr;
+  };
+  engine::QueryEngine& builtins = engine::DefaultEngine();
+  for (const std::string& name : builtins.Names()) {
+    engine::ProblemEntry entry = *builtins.Find(name).value();
+    entry.witness_profile = nullptr;
+    strip(&entry.witness);
+    for (engine::WitnessAlternative& alt : entry.alternatives) {
+      alt.profile = nullptr;
+      strip(&alt.witness);
+    }
+    PITRACT_RETURN_IF_ERROR(eng->Register(std::move(entry)));
+  }
+  return pitract::Status::OK();
+}
+
 struct LatencyPoint {
   double ns_per_query = -1;
   double answer_work_per_query = -1;
@@ -145,8 +164,7 @@ struct LatencyPoint {
 LatencyPoint MeasureWarm(engine::QueryEngine* eng,
                          const engine::DataHandle& handle,
                          const std::vector<std::string>& queries,
-                         long long min_ns, long long max_batches,
-                         const engine::AnswerOptions& options = {}) {
+                         long long min_ns, long long max_batches) {
   LatencyPoint point;
   long long answered = 0;
   long long answer_work = 0;
@@ -154,7 +172,7 @@ LatencyPoint MeasureWarm(engine::QueryEngine* eng,
   pitract_bench::WallTimer timer;
   while ((timer.ElapsedNs() < min_ns || point.batches < 2) &&
          point.batches < max_batches) {
-    auto batch = eng->AnswerBatch(handle, queries, options);
+    auto batch = eng->AnswerBatch(handle, queries);
     if (!batch.ok()) {
       std::fprintf(stderr, "warm batch failed: %s\n",
                    batch.status().ToString().c_str());
@@ -256,10 +274,8 @@ int main(int argc, char** argv) {
       // Two engines over identical data: decoded views on vs stripped.
       engine::QueryEngine view_eng;
       engine::QueryEngine string_eng;
-      engine::BuiltinOptions no_views;
-      no_views.enable_views = false;
       if (!engine::RegisterBuiltins(&view_eng).ok() ||
-          !engine::RegisterBuiltins(&string_eng, no_views).ok()) {
+          !RegisterStringPathBuiltins(&string_eng).ok()) {
         return 1;
       }
       auto view_handle = view_eng.Intern(case_name, w.data);
@@ -339,13 +355,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- metric=batch: the vectorised kernel layer vs the scalar view loop.
+  // --- metric=batch: the vectorised kernel layer across batch sizes.
   //
-  // Same warm-store steady state, but sweeping the batch size: the kernel
-  // engine answers each AnswerBatch call with one answer_view_batch kernel
-  // (queries pre-decoded once per batch), the scalar engine has the batch
-  // hooks stripped and loops the per-query answer_view. Kernel batches must
-  // stay lock-free and key-build-free like every other warm handle batch.
+  // Same warm-store steady state, but sweeping the batch size: each
+  // AnswerBatch call is answered by one answer_view_batch kernel (queries
+  // pre-decoded once per batch). Kernel batches must stay lock-free and
+  // key-build-free like every other warm handle batch.
   const std::vector<int> batch_sizes =
       tiny ? std::vector<int>{8, 64} : std::vector<int>{16, 64, 256, 1024};
   const int max_batch = *std::max_element(batch_sizes.begin(),
@@ -365,12 +380,11 @@ int main(int argc, char** argv) {
       {"graph-reachability", tiny ? (1 << 6) : (1 << 10)},
   };
 
-  std::printf("\n%-22s %8s %6s %12s %12s %8s %11s %7s\n", "case", "n",
-              "batch", "kernel ns/q", "scalar ns/q", "speedup", "Mq/s/core",
-              "B/query");
+  std::printf("\n%-22s %8s %6s %12s %11s %7s\n", "case", "n", "batch",
+              "kernel ns/q", "Mq/s/core", "B/query");
   std::printf(
       "----------------------------------------------------------------------"
-      "----------\n");
+      "-\n");
   for (const BatchCase& bc : batch_cases) {
     Rng rng(0xba7c4 + static_cast<uint64_t>(bc.n));
     Workload w;
@@ -387,21 +401,10 @@ int main(int argc, char** argv) {
     }
 
     engine::QueryEngine kernel_eng;
-    engine::QueryEngine scalar_eng;
-    engine::BuiltinOptions no_kernels;
-    no_kernels.enable_batch_kernels = false;
-    if (!engine::RegisterBuiltins(&kernel_eng).ok() ||
-        !engine::RegisterBuiltins(&scalar_eng, no_kernels).ok()) {
-      return 1;
-    }
+    if (!engine::RegisterBuiltins(&kernel_eng).ok()) return 1;
     auto kernel_handle = kernel_eng.Intern(bc.name, w.data);
-    auto scalar_handle = scalar_eng.Intern(bc.name, w.data);
-    if (!kernel_handle.ok() || !scalar_handle.ok()) {
-      ++failures;
-      continue;
-    }
-    if (!kernel_eng.AnswerBatch(*kernel_handle, w.queries).ok() ||
-        !scalar_eng.AnswerBatch(*scalar_handle, w.queries).ok()) {
+    if (!kernel_handle.ok() ||
+        !kernel_eng.AnswerBatch(*kernel_handle, w.queries).ok()) {
       ++failures;
       continue;
     }
@@ -427,19 +430,12 @@ int main(int argc, char** argv) {
                      kernel_point.batches);
         ++failures;
       }
-      LatencyPoint scalar_point = MeasureWarm(
-          &scalar_eng, *scalar_handle, queries, min_ns, max_batches);
-      const double speedup =
-          kernel_point.ns_per_query > 0
-              ? scalar_point.ns_per_query / kernel_point.ns_per_query
-              : -1;
       const double kernel_qps_per_core =
           kernel_point.ns_per_query > 0 ? 1e9 / kernel_point.ns_per_query
                                         : -1;
-      std::printf("%-22s %8lld %6d %12.1f %12.1f %7.1fx %11.1f %7.1f\n",
-                  bc.name, static_cast<long long>(bc.n), batch_size,
-                  kernel_point.ns_per_query, scalar_point.ns_per_query,
-                  speedup, kernel_qps_per_core / 1e6,
+      std::printf("%-22s %8lld %6d %12.1f %11.1f %7.1f\n", bc.name,
+                  static_cast<long long>(bc.n), batch_size,
+                  kernel_point.ns_per_query, kernel_qps_per_core / 1e6,
                   kernel_point.bytes_per_query);
       if (json != nullptr) {
         std::fprintf(json,
@@ -460,114 +456,7 @@ int main(int argc, char** argv) {
                      // locked_hits lock-free proof included) in one
                      // Stats::ToJson() object instead of picked fields.
                      stats_after.ToJson().c_str());
-        const double scalar_qps_per_core =
-            scalar_point.ns_per_query > 0 ? 1e9 / scalar_point.ns_per_query
-                                          : -1;
-        std::fprintf(json,
-                     "{\"bench\":\"x5_answer_latency\",\"case\":\"%s\","
-                     "\"n\":%lld,\"metric\":\"batch\",\"batch\":%d,"
-                     "\"path\":\"view-scalar\",\"batches\":%lld,"
-                     "\"ns_per_query\":%.1f,\"qps_per_core\":%.0f,"
-                     "\"bytes_per_query\":%.1f,"
-                     "\"answer_work_per_query\":%.1f,"
-                     "\"hardware_concurrency\":%d}\n",
-                     bc.name, static_cast<long long>(bc.n), batch_size,
-                     scalar_point.batches, scalar_point.ns_per_query,
-                     scalar_qps_per_core, scalar_point.bytes_per_query,
-                     scalar_point.answer_work_per_query,
-                     hardware_concurrency);
-        json_lines += 2;
-      }
-    }
-  }
-
-  // --- metric=sorted: batch-local access-locality scheduling.
-  //
-  // AnswerOptions::sort_probes sorts a large batch's decoded queries by
-  // probe address before the kernel call and unpermutes the answers after:
-  // random gathers over a big view become near-sequential sweeps. Only
-  // batches >= kSortProbesMinBatch engage the sort (below it, the sort
-  // costs more than the locality buys), so this section sweeps from the
-  // threshold up, arrival-order vs sorted on the same warm handle.
-  const auto min_sorted =
-      static_cast<int>(engine::AnswerOptions::kSortProbesMinBatch);
-  const std::vector<int> sorted_batches =
-      tiny ? std::vector<int>{min_sorted}
-           : std::vector<int>{min_sorted, 4 * min_sorted};
-  const int max_sorted = *std::max_element(sorted_batches.begin(),
-                                           sorted_batches.end());
-  const std::vector<BatchCase> sorted_cases = {
-      {"list-membership", big},
-      {"connectivity", big},
-      {"breadth-depth-search", big},
-  };
-
-  std::printf("\n%-22s %8s %6s %12s %12s %8s\n", "case", "n", "batch",
-              "arrival ns/q", "sorted ns/q", "speedup");
-  std::printf(
-      "----------------------------------------------------------------------"
-      "\n");
-  for (const BatchCase& sc : sorted_cases) {
-    Rng rng(0x50e7ed + static_cast<uint64_t>(sc.n));
-    Workload w;
-    if (std::strcmp(sc.name, "list-membership") == 0) {
-      w = MakeMemberWorkload(sc.n, &rng, max_sorted);
-    } else {
-      w = MakeGraphWorkload(
-          sc.n, &rng, std::strcmp(sc.name, "breadth-depth-search") == 0,
-          max_sorted);
-    }
-    engine::QueryEngine eng;
-    if (!engine::RegisterBuiltins(&eng).ok()) return 1;
-    auto handle = eng.Intern(sc.name, w.data);
-    if (!handle.ok() || !eng.AnswerBatch(*handle, w.queries).ok()) {
-      ++failures;
-      continue;
-    }
-
-    for (int batch_size : sorted_batches) {
-      const std::vector<std::string> queries(
-          w.queries.begin(), w.queries.begin() + batch_size);
-      LatencyPoint arrival_point =
-          MeasureWarm(&eng, *handle, queries, min_ns, max_batches);
-      engine::AnswerOptions sort_options;
-      sort_options.sort_probes = true;
-      LatencyPoint sorted_point = MeasureWarm(
-          &eng, *handle, queries, min_ns, max_batches, sort_options);
-      if (sorted_point.kernel_batches != sorted_point.batches) {
-        std::fprintf(stderr,
-                     "FAIL: %s sorted batches fell off the kernel path\n",
-                     sc.name);
-        ++failures;
-      }
-      const double speedup =
-          sorted_point.ns_per_query > 0
-              ? arrival_point.ns_per_query / sorted_point.ns_per_query
-              : -1;
-      std::printf("%-22s %8lld %6d %12.1f %12.1f %7.2fx\n", sc.name,
-                  static_cast<long long>(sc.n), batch_size,
-                  arrival_point.ns_per_query, sorted_point.ns_per_query,
-                  speedup);
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "{\"bench\":\"x5_answer_latency\",\"case\":\"%s\","
-                     "\"n\":%lld,\"metric\":\"sorted\",\"batch\":%d,"
-                     "\"order\":\"arrival\",\"batches\":%lld,"
-                     "\"ns_per_query\":%.1f,\"bytes_per_query\":%.1f,"
-                     "\"hardware_concurrency\":%d}\n",
-                     sc.name, static_cast<long long>(sc.n), batch_size,
-                     arrival_point.batches, arrival_point.ns_per_query,
-                     arrival_point.bytes_per_query, hardware_concurrency);
-        std::fprintf(json,
-                     "{\"bench\":\"x5_answer_latency\",\"case\":\"%s\","
-                     "\"n\":%lld,\"metric\":\"sorted\",\"batch\":%d,"
-                     "\"order\":\"sorted\",\"batches\":%lld,"
-                     "\"ns_per_query\":%.1f,\"bytes_per_query\":%.1f,"
-                     "\"hardware_concurrency\":%d}\n",
-                     sc.name, static_cast<long long>(sc.n), batch_size,
-                     sorted_point.batches, sorted_point.ns_per_query,
-                     sorted_point.bytes_per_query, hardware_concurrency);
-        json_lines += 2;
+        ++json_lines;
       }
     }
   }
@@ -582,11 +471,7 @@ int main(int argc, char** argv) {
       "(every warm query re-decodes the whole Π(D) payload). The admission\n"
       "lines show the per-batch O(|D|) key hash the digest handles delete.\n"
       "The batch table shows the vectorised kernels amortizing dispatch,\n"
-      "parsing and metering to once per batch: kernel ns/query should beat\n"
-      "the scalar view loop from batch >= 64, with bytes/query exposing the\n"
-      "remaining gap to the memory's random-access floor. The sorted table\n"
-      "shows probe-address ordering turning those random gathers into\n"
-      "near-sequential ones once the batch is big enough to amortize the\n"
-      "sort.\n");
+      "parsing and metering to once per batch, with bytes/query exposing\n"
+      "the remaining gap to the memory's random-access floor.\n");
   return failures == 0 ? 0 : 1;
 }

@@ -22,6 +22,7 @@
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/engine.h"
+#include "engine/pipeline.h"
 #include "engine/serve.h"
 #include "graph/algos.h"
 #include "graph/generators.h"
@@ -134,12 +135,19 @@ int main(int argc, char** argv) {
     item.problem = "connectivity";
     item.data = conn_data;
     item.queries = probes;
-    pitract::engine::ServeOptions serve_options;
-    serve_options.threads = 4;
-    serve_options.repeat = 16;
-    auto report = pitract::engine::ServeParallel(
-        &engine, std::span<const pitract::engine::ServeWorkItem>(&item, 1),
-        serve_options);
+    pitract::engine::PipelineOptions pipeline_options;
+    pipeline_options.threads = 4;
+    pitract::engine::ServeReport report;
+    const pitract::Timer serve_timer;
+    {
+      pitract::engine::ServePipeline pipeline(&engine, pipeline_options);
+      pipeline.SubmitWorkload(
+          std::span<const pitract::engine::ServeWorkItem>(&item, 1),
+          /*repeat=*/16);
+      pipeline.Drain();
+      report = pipeline.report();
+    }
+    const double serve_seconds = serve_timer.ElapsedSeconds();
     if (report.errors != 0) {
       std::fprintf(stderr, "concurrent serving failed: %s\n",
                    report.first_error.ToString().c_str());
@@ -148,7 +156,11 @@ int main(int argc, char** argv) {
     std::printf("concurrent serving (4 threads x 16 passes): %" PRId64
                 " queries at %.0f q/s,\n  Pi re-ran %" PRId64
                 " times (in-flight dedup + warm store)\n\n",
-                report.queries, report.queries_per_second, report.pi_runs);
+                report.queries,
+                serve_seconds > 0
+                    ? static_cast<double>(report.queries) / serve_seconds
+                    : 0.0,
+                report.pi_runs);
 
     // Nightly-restart drill: spill the warm Pi(D) structures, rehydrate a
     // fresh engine from disk, and answer the same batch with zero

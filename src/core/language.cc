@@ -37,9 +37,9 @@ PiWitness ApplyRewriting(const QueryRewriter& rewriter,
     return answer(prepared, *rewritten, meter);
   };
   // The decoded view is a property of Π(D) alone, so it survives query
-  // rewriting unchanged; only the view answerer maps through λ.
-  if (base.has_view()) {
-    w.deserialize = base.deserialize;
+  // rewriting unchanged; only the query side maps through λ.
+  if (base.has_view()) w.deserialize = base.deserialize;
+  if (base.answer_view) {
     auto answer_view = base.answer_view;
     w.answer_view = [lambda, answer_view](const void* view,
                                           const std::string& query,
@@ -49,9 +49,9 @@ PiWitness ApplyRewriting(const QueryRewriter& rewriter,
       return answer_view(view, *rewritten, meter);
     };
   }
-  // The batch layer composes on the decode hook alone: pre-decoding maps
-  // the query through λ once per batch, after which the base kernel and
-  // decoded-scalar answerers apply verbatim (they only see numeric forms).
+  // The batch face composes on the decode hook alone: pre-decoding maps
+  // the query through λ once per batch, after which the base kernel
+  // applies verbatim (it only sees numeric forms).
   if (base.decode_query) {
     auto base_decode = base.decode_query;
     w.decode_query = [lambda, base_decode](const std::string& query,
@@ -61,7 +61,6 @@ PiWitness ApplyRewriting(const QueryRewriter& rewriter,
       if (!rewritten.ok()) return rewritten.status();
       return base_decode(*rewritten, out, scratch);
     };
-    w.answer_view_decoded = base.answer_view_decoded;
     w.answer_view_batch = base.answer_view_batch;
   }
   return w;

@@ -58,8 +58,8 @@ using PiViewPtr = std::shared_ptr<const void>;
 /// hot builtin views probe. Single-value queries (membership element, gate
 /// id) use `a`; pair queries (graph endpoints, interval bounds) use
 /// (`a`, `b`). Witnesses whose queries are not numeric (e.g. circuit
-/// assignments) simply leave `decode_query` unset and keep the scalar
-/// string path.
+/// assignments) leave `decode_query` unset and answer per query through
+/// `answer_view`.
 struct DecodedQuery {
   int64_t a = 0;
   int64_t b = 0;
@@ -75,6 +75,18 @@ struct DecodedQuery {
 /// harness bookkeeping and is excluded, since a deployed engine would hold
 /// the preprocessed structure in memory (the typed cases in core/cases.h
 /// measure exactly that deployed form).
+///
+/// A witness has at most three answer faces:
+///
+///  * `answer` — the reference semantics of S′ over the Σ*-string Π(D).
+///    Always set; engines fall back to it whenever no view is resident.
+///  * `decode_query` + `answer_view_batch` — the warm path for numeric
+///    queries: each query of a batch is decoded once into its DecodedQuery
+///    form, then one kernel call answers the whole span against the
+///    decoded view `deserialize` built.
+///  * `answer_view` — the per-query view face, only for witnesses whose
+///    queries are not numeric (a circuit assignment has no DecodedQuery
+///    form), so they still skip the per-query Π(D) re-decode.
 struct PiWitness {
   std::string name;
   /// Π: data part -> preprocessed structure D′ (string-encoded).
@@ -85,28 +97,20 @@ struct PiWitness {
                              const std::string& query, CostMeter*)>
       answer;
 
-  /// Optional decoded-view pair — the wall-clock face of the cost contract
-  /// above. `answer` charges only the conceptual probe cost, but in
-  /// wall-clock terms it still re-decodes the Σ*-string per query;
-  /// `deserialize` builds the typed structure once (memoized by the
-  /// serving layer next to the raw payload) and `answer_view` probes it
-  /// directly, making a warm query O(query) in wall-clock too. The
-  /// payload arrives as the cache's shared_ptr, so a deserializer whose
+  /// Optional decoded view of Π(D): `deserialize` builds the typed
+  /// structure once (memoized by the serving layer next to the raw
+  /// payload), so a warm query is O(query) in wall-clock too. The payload
+  /// arrives as the cache's shared_ptr, so a deserializer whose
   /// "structure" is the payload itself may alias it copy-free (the GVP
-  /// bitmap does). Both hooks must be set together; the view passed to
-  /// `answer_view` is always one produced by this witness's `deserialize`.
-  /// Engines fall back to the string `answer` path whenever the hooks are
-  /// absent or a view build fails, so views are a pure optimization.
+  /// bitmap does). The view passed to the answerers below is always one
+  /// produced by this witness's `deserialize`. Engines fall back to the
+  /// string `answer` path whenever a view build fails, so views are a pure
+  /// optimization.
   std::function<Result<PiViewPtr>(
       const std::shared_ptr<const std::string>& preprocessed, CostMeter*)>
       deserialize;
-  std::function<Result<bool>(const void* view, const std::string& query,
-                             CostMeter*)>
-      answer_view;
 
-  /// Optional batch answer layer on top of the decoded view — the hooks a
-  /// serving engine uses to amortize per-query overhead (string parsing,
-  /// virtual dispatch, meter charging) to once per batch.
+  /// Batch face over the view.
   ///
   ///  * `decode_query` parses one Σ*-query string into its numeric
   ///    DecodedQuery form. The batch driver calls it once per query per
@@ -114,51 +118,39 @@ struct PiWitness {
   ///    codec::DecodeIntsInto-style decoders allocate nothing in steady
   ///    state. Query rewriting (λ) and reduction transport (β) compose on
   ///    this hook, so derived entries pre-decode through the same chain
-  ///    their scalar path answers through.
-  ///  * `answer_view_decoded` is the scalar face: answers one pre-decoded
-  ///    query against the view. The batch driver falls back to it when no
-  ///    batch kernel exists, so even the scalar loop stops re-parsing
-  ///    bytes per query.
-  ///  * `answer_view_batch` is the vectorized kernel: answers a whole span
-  ///    of pre-decoded queries into a caller-owned 0/1 output span in one
-  ///    call — free to sort/partition the batch, probe branchlessly, and
-  ///    autovectorize. It must write answers[i] for queries[i] (any
-  ///    internal reordering is its own business), charge the meter once
-  ///    per batch (same total work as the scalar probes; depth of one
-  ///    probe, since the batch is conceptually parallel — the NC claim),
-  ///    and fail the whole batch on the first invalid query, matching the
-  ///    scalar loop's first-error-wins contract.
-  ///
-  /// All three are optional and only consulted when `has_view()`; engines
-  /// fall back to the scalar `answer_view`/`answer` paths whenever they
-  /// are absent.
+  ///    their string path answers through.
+  ///  * `answer_view_batch` answers a whole span of pre-decoded queries
+  ///    into a caller-owned 0/1 output span in one call. It must write
+  ///    answers[i] for queries[i], charge the same total work as `answer`
+  ///    would over the same queries, and fail the whole batch on the first
+  ///    invalid query, matching `answer`'s error code. Kernels over flat
+  ///    arrays charge once per batch with the depth of one probe (the
+  ///    batch is conceptually parallel — the NC claim); a witness with no
+  ///    such kernel loops its per-query probe here instead.
   std::function<Status(const std::string& query, DecodedQuery* out,
                        std::vector<int64_t>* scratch)>
       decode_query;
-  std::function<Result<bool>(const void* view, const DecodedQuery& query,
-                             CostMeter*)>
-      answer_view_decoded;
   std::function<Status(const void* view, std::span<const DecodedQuery> queries,
                        std::span<uint8_t> answers, CostMeter*)>
       answer_view_batch;
 
-  /// True when this witness can answer through a decoded view.
+  /// Per-query view face, for non-numeric queries only (see above).
+  std::function<Result<bool>(const void* view, const std::string& query,
+                             CostMeter*)>
+      answer_view;
+
+  /// True when this witness builds a decoded view of Π(D).
   bool has_view() const {
-    return static_cast<bool>(deserialize) && static_cast<bool>(answer_view);
+    return static_cast<bool>(deserialize) &&
+           (static_cast<bool>(answer_view) ||
+            static_cast<bool>(answer_view_batch));
   }
 
   /// True when a whole pre-decoded batch can be answered by one
-  /// `answer_view_batch` kernel call.
+  /// `answer_view_batch` call.
   bool has_batch_kernel() const {
     return has_view() && static_cast<bool>(decode_query) &&
            static_cast<bool>(answer_view_batch);
-  }
-
-  /// True when pre-decoded queries can at least be answered one at a time
-  /// without re-parsing (the batch driver's scalar fallback).
-  bool has_decoded_answer() const {
-    return has_view() && static_cast<bool>(decode_query) &&
-           static_cast<bool>(answer_view_decoded);
   }
 };
 

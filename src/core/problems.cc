@@ -87,13 +87,12 @@ const std::vector<int64_t>& IntListViewOf(const void* view) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch kernels (PiWitness::decode_query / answer_view_decoded /
-// answer_view_batch)
+// Batch kernels (PiWitness::decode_query / answer_view_batch)
 // ---------------------------------------------------------------------------
 //
 // The vectorized face of the decoded views: queries arrive pre-decoded as
 // a span, answers leave through a caller-owned 0/1 span, and the meter is
-// charged once per batch — identical total work to the scalar probes,
+// charged once per batch — identical total work to `answer`'s probes,
 // depth of one probe (the batch is conceptually parallel — the NC claim),
 // and one set of relaxed RMWs instead of two per query. The probe loops
 // are branchless: conditional moves instead of data-dependent branches,
@@ -116,7 +115,7 @@ inline size_t BranchlessLowerBound(const int64_t* a, size_t n, int64_t key) {
   return lo;
 }
 
-/// The scalar charge of one binary search (ncsim::ChargeBinarySearch).
+/// The per-query charge of one binary search (ncsim::ChargeBinarySearch).
 inline int64_t BinarySearchOps(size_t n) {
   return ncsim::CeilLog2(n < 1 ? 1 : static_cast<int64_t>(n)) + 1;
 }
@@ -152,8 +151,8 @@ Status DecodeIntPairQueryHook(const std::string& query, DecodedQuery* out,
 /// Shared kernel shape of the two int-pair gather views (component labels,
 /// BDS ranks): gather two int64s per query, compare. `Compare` maps the
 /// gathered pair to the 0/1 answer.
-/// `ops_per_probe` preserves each view's scalar charge (two label reads
-/// for connectivity; Example 5's two binary searches for BDS).
+/// `ops_per_probe` preserves each witness's per-query charge (two label
+/// reads for connectivity; Example 5's two binary searches for BDS).
 template <typename Compare>
 Status PairGatherKernel(const std::vector<int64_t>& values,
                         std::span<const DecodedQuery> queries,
@@ -414,28 +413,11 @@ PiWitness MemberWitness() {
     ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted->size()));
     return std::binary_search(sorted->begin(), sorted->end(), *e);
   };
-  // Decoded view: the sorted column as a typed vector — a warm query is
-  // one binary search, no O(|Π(D)|) re-decode.
+  // Decoded view: the sorted column as a typed vector. Batches pre-decode
+  // their elements and run branchless lower_bound probes over it, one
+  // charge per batch — no O(|Π(D)|) re-decode.
   w.deserialize = DeserializeIntListView;
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    auto e = DecodeInt(query);
-    if (!e.ok()) return e.status();
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted.size()));
-    if (meter != nullptr) meter->AddBytesRead(8 * BinarySearchOps(sorted.size()));
-    return std::binary_search(sorted.begin(), sorted.end(), *e);
-  };
-  // Batch layer: pre-decoded elements, branchless lower_bound probes over
-  // the sorted column, one charge per batch.
   w.decode_query = DecodeIntQueryHook;
-  w.answer_view_decoded = [](const void* view, const DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted.size()));
-    if (meter != nullptr) meter->AddBytesRead(8 * BinarySearchOps(sorted.size()));
-    return std::binary_search(sorted.begin(), sorted.end(), query.a);
-  };
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -485,40 +467,9 @@ PiWitness ConnWitness() {
            (*labels)[static_cast<size_t>(t)];
   };
   // Decoded view: the component-label array — a warm query is two O(1)
-  // label probes.
+  // label probes, gathered contiguously with branchless range checks.
   w.deserialize = DeserializeIntListView;
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& labels = IntListViewOf(view);
-    auto q = DecodeIntPairQuery(query, "conn query");
-    if (!q.ok()) return q.status();
-    const auto [s, t] = *q;
-    if (s < 0 || s >= static_cast<int64_t>(labels.size()) || t < 0 ||
-        t >= static_cast<int64_t>(labels.size())) {
-      return Status::OutOfRange("endpoint out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(2);
-      meter->AddBytesRead(16);
-    }
-    return labels[static_cast<size_t>(s)] == labels[static_cast<size_t>(t)];
-  };
-  // Batch layer: contiguous label gathers, branchless range accumulation.
   w.decode_query = DecodeIntPairQueryHook;
-  w.answer_view_decoded = [](const void* view, const DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& labels = IntListViewOf(view);
-    const auto size = static_cast<int64_t>(labels.size());
-    if (query.a < 0 || query.a >= size || query.b < 0 || query.b >= size) {
-      return Status::OutOfRange("endpoint out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(2);
-      meter->AddBytesRead(16);
-    }
-    return labels[static_cast<size_t>(query.a)] ==
-           labels[static_cast<size_t>(query.b)];
-  };
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -565,39 +516,10 @@ PiWitness BdsWitness() {
     return (*rank)[static_cast<size_t>(u)] < (*rank)[static_cast<size_t>(v)];
   };
   // Decoded view: the rank array of Example 5's visit order M — a warm
-  // query is the same two charged searches without re-decoding M.
+  // query is two contiguous rank gathers, charged as the same two binary
+  // searches, without re-decoding M.
   w.deserialize = DeserializeIntListView;
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& rank = IntListViewOf(view);
-    auto q = DecodeIntPairQuery(query, "bds query");
-    if (!q.ok()) return q.status();
-    const auto [u, v] = *q;
-    if (u < 0 || u >= static_cast<int64_t>(rank.size()) || v < 0 ||
-        v >= static_cast<int64_t>(rank.size())) {
-      return Status::OutOfRange("node id out of range");
-    }
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(rank.size()));
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(rank.size()));
-    if (meter != nullptr) meter->AddBytesRead(16);
-    return rank[static_cast<size_t>(u)] < rank[static_cast<size_t>(v)];
-  };
-  // Batch layer: contiguous rank gathers; the charge keeps Example 5's
-  // two-binary-search bound per query.
   w.decode_query = DecodeIntPairQueryHook;
-  w.answer_view_decoded = [](const void* view, const DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& rank = IntListViewOf(view);
-    const auto size = static_cast<int64_t>(rank.size());
-    if (query.a < 0 || query.a >= size || query.b < 0 || query.b >= size) {
-      return Status::OutOfRange("node id out of range");
-    }
-    ncsim::ChargeBinarySearch(meter, size);
-    ncsim::ChargeBinarySearch(meter, size);
-    if (meter != nullptr) meter->AddBytesRead(16);
-    return rank[static_cast<size_t>(query.a)] <
-           rank[static_cast<size_t>(query.b)];
-  };
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -646,34 +568,8 @@ PiWitness GvpWitness() {
                      CostMeter*) -> Result<PiViewPtr> {
     return PiViewPtr(prepared, static_cast<const void*>(prepared.get()));
   };
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const std::string& bitmap = *static_cast<const std::string*>(view);
-    auto gate = DecodeInt(query);
-    if (!gate.ok()) return gate.status();
-    if (*gate < 0 || *gate >= static_cast<int64_t>(bitmap.size())) {
-      return Status::OutOfRange("gate id out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(1);
-      meter->AddBytesRead(1);
-    }
-    return bitmap[static_cast<size_t>(*gate)] == '1';
-  };
-  // Batch layer: branchless byte probes over the gate-value bitmap.
+  // Batch face: branchless byte probes over the gate-value bitmap.
   w.decode_query = DecodeIntQueryHook;
-  w.answer_view_decoded = [](const void* view, const DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const std::string& bitmap = *static_cast<const std::string*>(view);
-    if (query.a < 0 || query.a >= static_cast<int64_t>(bitmap.size())) {
-      return Status::OutOfRange("gate id out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(1);
-      meter->AddBytesRead(1);
-    }
-    return bitmap[static_cast<size_t>(query.a)] == '1';
-  };
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -948,29 +844,11 @@ PiWitness IntervalWitness() {
     auto it = std::lower_bound(sorted->begin(), sorted->end(), lo);
     return it != sorted->end() && *it <= hi;
   };
-  // Same Π as the membership witness, same decoded view of it.
+  // Same Π as the membership witness, same decoded view of it. Batches
+  // run one branchless lower_bound per interval; λ-rewritten entries
+  // (predicate-selection) pre-decode through the same rewriter chain, so
+  // the kernel only ever sees normalized [lo, hi] pairs.
   w.deserialize = DeserializeIntListView;
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    auto bounds = codec::DecodeInts(query);
-    if (!bounds.ok()) return bounds.status();
-    if (bounds->size() != 2) {
-      return Status::InvalidArgument("interval query needs 2 bounds");
-    }
-    const int64_t lo = (*bounds)[0];
-    const int64_t hi = (*bounds)[1];
-    if (lo > hi) return false;
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted.size()));
-    if (meter != nullptr) {
-      meter->AddBytesRead(8 * BinarySearchOps(sorted.size()));
-    }
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), lo);
-    return it != sorted.end() && *it <= hi;
-  };
-  // Batch layer: one branchless lower_bound per interval. λ-rewritten
-  // entries (predicate-selection) pre-decode through the same rewriter
-  // chain, so the kernel only ever sees normalized [lo, hi] pairs.
   w.decode_query = [](const std::string& query, DecodedQuery* out,
                       std::vector<int64_t>* scratch) -> Status {
     std::vector<int64_t> local;
@@ -984,17 +862,6 @@ PiWitness IntervalWitness() {
     out->b = (*bounds)[1];
     return Status::OK();
   };
-  w.answer_view_decoded = [](const void* view, const DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    if (query.a > query.b) return false;
-    ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted.size()));
-    if (meter != nullptr) {
-      meter->AddBytesRead(8 * BinarySearchOps(sorted.size()));
-    }
-    auto it = std::lower_bound(sorted.begin(), sorted.end(), query.a);
-    return it != sorted.end() && *it <= query.b;
-  };
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -1003,7 +870,7 @@ PiWitness IntervalWitness() {
     const int64_t* data = sorted.data();
     const size_t n = sorted.size();
     // Empty intervals answer false without a probe (and without a charge,
-    // matching the scalar early-out), so count real probes separately.
+    // matching `answer`'s early-out), so count real probes separately.
     int64_t probes = 0;
     for (size_t i = 0; i < queries.size(); ++i) {
       const int64_t lo = queries[i].a;

@@ -128,10 +128,9 @@ PiWitness Transport(const NcFactorReduction& r, const PiWitness& w2) {
     return answer2(prepared, *mapped, meter);
   };
   // The prepared structure is the target's Π(α(D)), so the target's
-  // decoded view transports verbatim; only the view answerer maps queries
-  // through β first.
-  if (w2.has_view()) {
-    w1.deserialize = w2.deserialize;
+  // decoded view transports verbatim; only the query side maps through β.
+  if (w2.has_view()) w1.deserialize = w2.deserialize;
+  if (w2.answer_view) {
     auto answer_view2 = w2.answer_view;
     w1.answer_view = [beta, answer_view2](const void* view,
                                           const std::string& query,
@@ -141,10 +140,9 @@ PiWitness Transport(const NcFactorReduction& r, const PiWitness& w2) {
       return answer_view2(view, *mapped, meter);
     };
   }
-  // Batch layer: β composes into the per-batch decode (each source query
-  // is mapped then decoded once), while the target's kernel and
-  // decoded-scalar answerers transport verbatim — they probe the same
-  // Π(α(D)) view either way.
+  // Batch face: β composes into the per-batch decode (each source query
+  // is mapped then decoded once), while the target's kernel transports
+  // verbatim — it probes the same Π(α(D)) view either way.
   if (w2.decode_query) {
     auto decode2 = w2.decode_query;
     w1.decode_query = [beta, decode2](const std::string& query,
@@ -154,7 +152,6 @@ PiWitness Transport(const NcFactorReduction& r, const PiWitness& w2) {
       if (!mapped.ok()) return mapped.status();
       return decode2(*mapped, out, scratch);
     };
-    w1.answer_view_decoded = w2.answer_view_decoded;
     w1.answer_view_batch = w2.answer_view_batch;
   }
   return w1;

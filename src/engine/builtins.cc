@@ -84,33 +84,6 @@ core::PiWitness CircuitEvalWitness() {
 }  // namespace
 
 Status RegisterBuiltins(QueryEngine* engine) {
-  return RegisterBuiltins(engine, BuiltinOptions{});
-}
-
-Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options) {
-  // Registration shim: strips the decoded-view hooks when views are
-  // disabled. Reduction-derived entries transport their target's witness
-  // out of the registry, so stripping the direct registrations covers
-  // them too.
-  auto strip_witness = [&options](core::PiWitness* w) {
-    if (!options.enable_views) {
-      w->deserialize = nullptr;
-      w->answer_view = nullptr;
-    }
-    if (!options.enable_views || !options.enable_batch_kernels) {
-      w->decode_query = nullptr;
-      w->answer_view_decoded = nullptr;
-      w->answer_view_batch = nullptr;
-    }
-  };
-  auto register_entry = [engine, &strip_witness](ProblemEntry entry) {
-    strip_witness(&entry.witness);
-    for (WitnessAlternative& alt : entry.alternatives) {
-      strip_witness(&alt.witness);
-    }
-    return engine->Register(std::move(entry));
-  };
-
   // Every typed query class registers under its own name; the three with
   // Σ*-level twins carry the full Definition 1 artifact set.
   for (auto& typed_case : core::MakeAllCases()) {
@@ -213,9 +186,7 @@ Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options) {
         flat.witness = core::GvpWitness();
         flat.witness.name = "evaluate-all-gates-string";
         flat.witness.deserialize = nullptr;
-        flat.witness.answer_view = nullptr;
         flat.witness.decode_query = nullptr;
-        flat.witness.answer_view_decoded = nullptr;
         flat.witness.answer_view_batch = nullptr;
         flat.prepared_size_of = [](const std::string& prepared) {
           return prepared.size() + PreparedStore::kEntryOverheadBytes;
@@ -226,15 +197,15 @@ Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options) {
         entry.alternatives.push_back(std::move(flat));
       }
     }
-    PITRACT_RETURN_IF_ERROR(register_entry(std::move(entry)));
+    PITRACT_RETURN_IF_ERROR(engine->Register(std::move(entry)));
   }
 
   // Σ*-only problems.
-  PITRACT_RETURN_IF_ERROR(register_entry(
+  PITRACT_RETURN_IF_ERROR(engine->Register(
       LanguageEntry("connectivity", "S4(2), Theorem 5",
                     core::ConnectivityProblem(), core::ConnFactorization(),
                     core::ConnWitness())));
-  PITRACT_RETURN_IF_ERROR(register_entry(
+  PITRACT_RETURN_IF_ERROR(engine->Register(
       LanguageEntry("cvp-empty-data", "Theorem 9", core::CvpProblem(),
                     core::EmptyDataFactorization(),
                     core::CvpEmptyDataWitness())));
@@ -248,7 +219,7 @@ Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options) {
                              core::IntervalWitness()));
     entry.apply_delta_to_data = MemberDataDelta();
     entry.prepared_patch = MemberPreparedPatch();
-    PITRACT_RETURN_IF_ERROR(register_entry(std::move(entry)));
+    PITRACT_RETURN_IF_ERROR(engine->Register(std::move(entry)));
   }
   {
     // The NAND-eval witness keeps the circuit verbatim as its "prepared"
@@ -260,7 +231,7 @@ Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options) {
                       core::CvpCircuitDataFactorization(),
                       CircuitEvalWitness());
     entry.spillable = false;
-    PITRACT_RETURN_IF_ERROR(register_entry(std::move(entry)));
+    PITRACT_RETURN_IF_ERROR(engine->Register(std::move(entry)));
   }
 
   // The reduction chain, routed through the registry: each derived entry

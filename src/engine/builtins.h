@@ -23,26 +23,12 @@ namespace engine {
 ///    cvp-via-nand look their target witness up and transport it (Lemma 3 /
 ///    Lemma 8) instead of re-plumbing it by hand.
 ///
-/// Every Σ*-level builtin witness carries the decoded-view hook pair
-/// (PiWitness::deserialize / answer_view), so warm engine batches answer
-/// through memoized typed structures instead of re-decoding Π(D) per
-/// query; reduction-derived entries inherit the views of their targets.
+/// Every Σ*-level builtin witness except the `evaluate-all-gates-string`
+/// alternative builds a decoded Π-view (PiWitness::deserialize), so warm
+/// engine batches answer through memoized typed structures instead of
+/// re-decoding Π(D) per query; reduction-derived entries inherit the views
+/// of their targets.
 Status RegisterBuiltins(QueryEngine* engine);
-
-/// Registration knobs, for harnesses that need a non-default build.
-struct BuiltinOptions {
-  /// When false, the decoded-view hooks are stripped from every witness
-  /// before registration, forcing the per-query string-decode path — the
-  /// baseline bench_x5_answer_latency measures the view layer against.
-  bool enable_views = true;
-  /// When false, the batch hooks (decode_query / answer_view_decoded /
-  /// answer_view_batch) are stripped, pinning batches to the per-query
-  /// scalar `answer_view` loop — the baseline the batch-kernel section of
-  /// bench_x5_answer_latency measures against. Implied off when
-  /// `enable_views` is off (the batch layer sits on the decoded view).
-  bool enable_batch_kernels = true;
-};
-Status RegisterBuiltins(QueryEngine* engine, const BuiltinOptions& options);
 
 }  // namespace engine
 }  // namespace pitract

@@ -140,20 +140,18 @@ core::PiWitness MemberBptreeWitness() {
     PITRACT_RETURN_IF_ERROR(tree->BulkLoad(entries));
     return core::PiViewPtr(std::move(tree));
   };
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    auto e = DecodeSingleInt(query);
-    if (!e.ok()) return e.status();
-    return static_cast<const index::BPlusTree*>(view)->PointExists(*e, meter);
+  // No branchless kernel over a node-linked tree: a batch runs one charged
+  // descent per query (the honest cost of this candidate).
+  w.answer_view_batch = [](const void* view,
+                           std::span<const core::DecodedQuery> queries,
+                           std::span<uint8_t> answers,
+                           CostMeter* meter) -> Status {
+    const auto& tree = *static_cast<const index::BPlusTree*>(view);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      answers[i] = static_cast<uint8_t>(tree.PointExists(queries[i].a, meter));
+    }
+    return Status::OK();
   };
-  w.answer_view_decoded = [](const void* view, const core::DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    return static_cast<const index::BPlusTree*>(view)->PointExists(query.a,
-                                                                   meter);
-  };
-  // No branchless batch kernel over a node-linked tree: batches run the
-  // pre-decoded per-probe descent (the honest cost of this candidate).
-  w.answer_view_batch = nullptr;
   return w;
 }
 
@@ -174,6 +172,16 @@ Result<graph::Graph> DecodeDirectedGraphDataPart(const std::string& data) {
         "for undirected data)");
   }
   return g;
+}
+
+/// decode_query for "u#v" reach queries, shared by both reach witnesses.
+Status DecodeReachQuery(const std::string& query, core::DecodedQuery* out,
+                        std::vector<int64_t>*) {
+  auto q = core::DecodeIntPairQuery(query, "reach query");
+  if (!q.ok()) return q.status();
+  out->a = q->first;
+  out->b = q->second;
+  return Status::OK();
 }
 
 }  // namespace
@@ -199,8 +207,10 @@ core::PiWitness ReachClosureWitness() {
     return incremental::IncrementalTransitiveClosure::ReachableInSerialized(
         prepared, q->first, q->second);
   };
-  // Decoded view: the rehydrated closure object — a warm query is one
-  // charged bit probe, no per-query image validation or offset decode.
+  // Decoded view: the rehydrated closure object. Batches run branchless
+  // word probes straight into the closure bitset — no per-query image
+  // validation or offset decode; range checks accumulate into one flag and
+  // the meter is charged once.
   w.deserialize = [](const std::shared_ptr<const std::string>& prepared,
                      CostMeter*) -> Result<core::PiViewPtr> {
     auto tc =
@@ -210,48 +220,7 @@ core::PiWitness ReachClosureWitness() {
         std::make_shared<incremental::IncrementalTransitiveClosure>(
             std::move(*tc)));
   };
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    const auto& tc =
-        *static_cast<const incremental::IncrementalTransitiveClosure*>(view);
-    auto q = core::DecodeIntPairQuery(query, "reach query");
-    if (!q.ok()) return q.status();
-    if (q->first < 0 || q->first >= tc.num_nodes() || q->second < 0 ||
-        q->second >= tc.num_nodes()) {
-      return Status::OutOfRange("node id out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(1);
-      meter->AddBytesRead(8);
-    }
-    return tc.Reachable(static_cast<graph::NodeId>(q->first),
-                        static_cast<graph::NodeId>(q->second), nullptr);
-  };
-  // Batch layer: branchless word probes straight into the closure bitset —
-  // range checks accumulate into one flag, the meter is charged once.
-  w.decode_query = [](const std::string& query, core::DecodedQuery* out,
-                      std::vector<int64_t>*) -> Status {
-    auto q = core::DecodeIntPairQuery(query, "reach query");
-    if (!q.ok()) return q.status();
-    out->a = q->first;
-    out->b = q->second;
-    return Status::OK();
-  };
-  w.answer_view_decoded = [](const void* view, const core::DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    const auto& tc =
-        *static_cast<const incremental::IncrementalTransitiveClosure*>(view);
-    if (query.a < 0 || query.a >= tc.num_nodes() || query.b < 0 ||
-        query.b >= tc.num_nodes()) {
-      return Status::OutOfRange("node id out of range");
-    }
-    if (meter != nullptr) {
-      meter->AddSerial(1);
-      meter->AddBytesRead(8);
-    }
-    return tc.ReachableUnchecked(static_cast<graph::NodeId>(query.a),
-                                 static_cast<graph::NodeId>(query.b));
-  };
+  w.decode_query = DecodeReachQuery;
   w.answer_view_batch = [](const void* view,
                            std::span<const core::DecodedQuery> queries,
                            std::span<uint8_t> answers,
@@ -394,27 +363,21 @@ core::PiWitness ReachEdgeScanWitness() {
     if (!g.ok()) return g.status();
     return core::PiViewPtr(std::make_shared<graph::Graph>(std::move(*g)));
   };
-  w.answer_view = [](const void* view, const std::string& query,
-                     CostMeter* meter) -> Result<bool> {
-    auto q = core::DecodeIntPairQuery(query, "reach query");
-    if (!q.ok()) return q.status();
-    return BfsReachable(*static_cast<const graph::Graph*>(view), q->first,
-                        q->second, meter);
-  };
-  w.decode_query = [](const std::string& query, core::DecodedQuery* out,
-                      std::vector<int64_t>*) -> Status {
-    auto q = core::DecodeIntPairQuery(query, "reach query");
-    if (!q.ok()) return q.status();
-    out->a = q->first;
-    out->b = q->second;
+  w.decode_query = DecodeReachQuery;
+  // No branchless kernel: each BFS is inherently per-query work, so a
+  // batch loops the charged search and fails on the first invalid query.
+  w.answer_view_batch = [](const void* view,
+                           std::span<const core::DecodedQuery> queries,
+                           std::span<uint8_t> answers,
+                           CostMeter* meter) -> Status {
+    const auto& g = *static_cast<const graph::Graph*>(view);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      auto found = BfsReachable(g, queries[i].a, queries[i].b, meter);
+      if (!found.ok()) return found.status();
+      answers[i] = static_cast<uint8_t>(*found);
+    }
     return Status::OK();
   };
-  w.answer_view_decoded = [](const void* view, const core::DecodedQuery& query,
-                             CostMeter* meter) -> Result<bool> {
-    return BfsReachable(*static_cast<const graph::Graph*>(view), query.a,
-                        query.b, meter);
-  };
-  // No batch kernel: each BFS is inherently per-query work.
   return w;
 }
 

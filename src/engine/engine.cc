@@ -58,56 +58,31 @@ PreparedStore::EntryOptions MakeEntryOptions(
 /// Σ*-string path: Π through the PreparedStore, answers via the *selected*
 /// witness (primary or a registered alternative) — through the memoized
 /// decoded view when that witness provides one, else via the string
-/// `answer` hook. The caller resolves which witness a key/data pair uses
-/// and hands in its hooks, entry options, and measured-cost profile.
+/// `answer` hook. The caller resolves which witness a handle uses and
+/// hands in its hooks, entry options, and measured-cost profile.
 class WitnessBatchPath : public BatchPath {
  public:
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile,
-                   PreparedStore::EntryOptions entry_options,
-                   PreparedStore* store, const std::string& data,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options = {})
-      : entry_(entry),
-        witness_(witness),
-        profile_(profile),
-        entry_options_(std::move(entry_options)),
-        store_(store),
-        data_(&data),
-        queries_(queries),
-        options_(options) {}
-  /// Pre-admitted flavor: reuses the handle's key, so Prepare does zero
-  /// O(|D|) key work.
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile,
+  /// Blocking flavor: Prepare fetches (or runs) Π under the handle's key,
+  /// so it does zero O(|D|) key work.
+  WitnessBatchPath(const core::PiWitness& witness, CostProfile* profile,
                    PreparedStore::EntryOptions entry_options,
                    PreparedStore* store, const DataHandle& handle,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options = {})
-      : entry_(entry),
-        witness_(witness),
+                   std::span<const std::string> queries)
+      : witness_(witness),
         profile_(profile),
         entry_options_(std::move(entry_options)),
         store_(store),
-        data_(handle.data.get()),
-        key_(&handle.key),
-        queries_(queries),
-        options_(options) {}
+        handle_(&handle),
+        queries_(queries) {}
   /// Warm-probe flavor (TryAnswerWarm): the caller already fetched the
   /// entry's PreparedView from the published snapshot, so Prepare charges
   /// the probe op and serves it — no second store lookup, no second hit
   /// counted.
-  WitnessBatchPath(const ProblemEntry& entry, const core::PiWitness& witness,
-                   CostProfile* profile, PreparedStore* store,
+  WitnessBatchPath(const core::PiWitness& witness,
                    PreparedStore::PreparedView prefetched,
-                   std::span<const std::string> queries,
-                   const AnswerOptions& options)
-      : entry_(entry),
-        witness_(witness),
-        profile_(profile),
-        store_(store),
+                   std::span<const std::string> queries)
+      : witness_(witness),
         queries_(queries),
-        options_(options),
         prefetched_(std::move(prefetched)),
         have_prefetched_(true) {}
 
@@ -126,20 +101,17 @@ class WitnessBatchPath : public BatchPath {
     // recorded into the witness's CostProfile; MergeFrom is an exact
     // sequential fold, so the caller's meter sees identical charges.
     auto compute = [this](CostMeter* m) -> Result<std::string> {
+      const std::string& data = *handle_->data;
       CostMeter local;
-      auto built = witness_.preprocess(*data_, &local);
+      auto built = witness_.preprocess(data, &local);
       if (m != nullptr) m->MergeFrom(local);
       if (built.ok() && profile_ != nullptr) {
-        profile_->RecordBuild(data_->size(), built->size(), local.work());
+        profile_->RecordBuild(data.size(), built->size(), local.work());
       }
       return built;
     };
-    auto prepared =
-        key_ != nullptr
-            ? store_->GetOrComputeView(*key_, compute, meter, &hit,
-                                       entry_options_)
-            : store_->GetOrComputeView(entry_.name, witness_.name, *data_,
-                                       compute, meter, &hit, entry_options_);
+    auto prepared = store_->GetOrComputeView(handle_->key, compute, meter,
+                                             &hit, entry_options_);
     if (!prepared.ok()) return prepared.status();
     prepared_ = std::move(prepared->prepared);
     view_ = std::move(prepared->view);
@@ -156,66 +128,27 @@ class WitnessBatchPath : public BatchPath {
 
   /// Amortized batch path: every query of the batch is decoded exactly
   /// once up front (one reusable int64 scratch buffer, no per-query
-  /// re-parsing), then the whole span is answered by the witness's batch
-  /// kernel when it has one, else by the decoded-scalar loop.
+  /// re-parsing), then one kernel call answers the whole span.
   Result<bool> TryAnswerAll(std::vector<bool>* answers, BatchAnswerMode* mode,
                             CostMeter* meter) override {
     const core::PiWitness& w = witness_;
-    if (view_ == nullptr) return false;
-    const bool kernel = w.has_batch_kernel();
-    if (!kernel && !w.has_decoded_answer()) return false;
+    if (view_ == nullptr || !w.has_batch_kernel()) return false;
 
     const size_t n = queries_.size();
     decoded_.resize(n);
     int_scratch_.clear();
     for (size_t i = 0; i < n; ++i) {
-      // First decode error fails the batch, matching the scalar loop's
-      // first-error-wins contract (the scalar path would have failed on
-      // the same query's parse).
+      // First decode error fails the batch, matching the per-query loop's
+      // first-error-wins contract (`answer` would have failed on the same
+      // query's parse).
       PITRACT_RETURN_IF_ERROR(
           w.decode_query(queries_[i], &decoded_[i], &int_scratch_));
     }
-
-    answers->clear();
-    answers->reserve(n);
-    if (kernel) {
-      raw_answers_.resize(n);
-      if (options_.sort_probes && n >= AnswerOptions::kSortProbesMinBatch) {
-        // Access-locality scheduling: probe the view in address order, not
-        // arrival order. The permutation is applied to a copy of the
-        // decoded span (so the kernel still sees a contiguous span) and
-        // inverted on the 0/1 answers, which is cheap — answers are one
-        // byte each, queries sixteen.
-        perm_.resize(n);
-        for (size_t i = 0; i < n; ++i) perm_[i] = i;
-        std::sort(perm_.begin(), perm_.end(), [this](size_t x, size_t y) {
-          const core::DecodedQuery& qx = decoded_[x];
-          const core::DecodedQuery& qy = decoded_[y];
-          return qx.a != qy.a ? qx.a < qy.a : qx.b < qy.b;
-        });
-        sorted_.resize(n);
-        for (size_t i = 0; i < n; ++i) sorted_[i] = decoded_[perm_[i]];
-        sorted_answers_.resize(n);
-        PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
-            view_.get(), sorted_, std::span<uint8_t>(sorted_answers_),
-            meter));
-        for (size_t i = 0; i < n; ++i) {
-          raw_answers_[perm_[i]] = sorted_answers_[i];
-        }
-      } else {
-        PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
-            view_.get(), decoded_, std::span<uint8_t>(raw_answers_), meter));
-      }
-      answers->assign(raw_answers_.begin(), raw_answers_.end());
-      *mode = BatchAnswerMode::kKernel;
-      return true;
-    }
-    for (size_t i = 0; i < n; ++i) {
-      auto answer = w.answer_view_decoded(view_.get(), decoded_[i], meter);
-      if (!answer.ok()) return answer.status();
-      answers->push_back(*answer);
-    }
-    *mode = BatchAnswerMode::kPreDecoded;
+    raw_answers_.resize(n);
+    PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
+        view_.get(), decoded_, std::span<uint8_t>(raw_answers_), meter));
+    answers->assign(raw_answers_.begin(), raw_answers_.end());
+    *mode = BatchAnswerMode::kKernel;
     return true;
   }
 
@@ -224,28 +157,21 @@ class WitnessBatchPath : public BatchPath {
   }
 
  private:
-  const ProblemEntry& entry_;
   const core::PiWitness& witness_;
   CostProfile* profile_ = nullptr;
   PreparedStore::EntryOptions entry_options_;
-  PreparedStore* store_;
-  const std::string* data_ = nullptr;
-  const PreparedStore::Key* key_ = nullptr;
+  PreparedStore* store_ = nullptr;
+  const DataHandle* handle_ = nullptr;
   std::span<const std::string> queries_;
-  AnswerOptions options_;
   PreparedStore::PreparedView prefetched_;
   bool have_prefetched_ = false;
   std::shared_ptr<const std::string> prepared_;
   std::shared_ptr<const void> view_;
   // Per-batch scratch (decoded queries, int64 decode buffer, kernel 0/1
-  // output, probe-order permutation) — sized once per batch, reused
-  // across its queries.
+  // output) — sized once per batch, reused across its queries.
   std::vector<core::DecodedQuery> decoded_;
   std::vector<int64_t> int_scratch_;
   std::vector<uint8_t> raw_answers_;
-  std::vector<size_t> perm_;
-  std::vector<core::DecodedQuery> sorted_;
-  std::vector<uint8_t> sorted_answers_;
 };
 
 /// Typed path: the deployed in-memory case behind the same interface.
@@ -378,9 +304,8 @@ QueryEngine::SelectedWitness QueryEngine::SelectWitness(
 
 void QueryEngine::NoteAnswered(const ProblemEntry& entry,
                                const SelectedWitness& selected,
-                               uint64_t part_fingerprint, size_t data_bytes,
-                               int64_t queries, int64_t answer_ops) {
-  (void)data_bytes;
+                               uint64_t part_fingerprint, int64_t queries,
+                               int64_t answer_ops) {
   if (selected.profile != nullptr && queries > 0) {
     selected.profile->RecordAnswer(queries, answer_ops);
   }
@@ -492,6 +417,17 @@ Result<const ProblemEntry*> QueryEngine::Find(std::string_view name) const {
   return &it->second;
 }
 
+Result<const ProblemEntry*> QueryEngine::FindLanguage(
+    std::string_view name) const {
+  auto entry = Find(name);
+  if (!entry.ok()) return entry.status();
+  if (!(*entry)->has_language) {
+    return Status::FailedPrecondition("problem '" + std::string(name) +
+                                      "' has no Σ*-level witness");
+  }
+  return entry;
+}
+
 std::vector<std::string> QueryEngine::Names() const {
   std::shared_lock<std::shared_mutex> lock(registry_mutex_);
   std::vector<std::string> names;
@@ -503,49 +439,14 @@ std::vector<std::string> QueryEngine::Names() const {
 Result<BatchResult> QueryEngine::AnswerBatch(
     std::string_view problem, const std::string& data,
     std::span<const std::string> queries) {
-  return AnswerBatch(problem, data, queries, AnswerOptions{});
-}
-
-Result<BatchResult> QueryEngine::AnswerBatch(
-    std::string_view problem, const std::string& data,
-    std::span<const std::string> queries, const AnswerOptions& options) {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
-  // Selection (and its O(|D|) fingerprint) only runs when this entry has
-  // alternatives and the model is live; the single-witness path is
-  // byte-for-byte the pre-adaptive one.
-  uint64_t fp = 0;
-  if (!(*entry)->alternatives.empty() &&
-      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
-    fp = PartFingerprint(data);
-  }
-  const SelectedWitness sel = SelectWitness(**entry, &data, fp);
-  WitnessBatchPath path(
-      **entry, *sel.witness, sel.profile,
-      MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
-                       sel.descriptor, data.size()),
-      &store_, data, queries, options);
-  auto result = RunBatch(&path);
-  if (result.ok()) {
-    NoteAnswered(**entry, sel, fp, data.size(),
-                 static_cast<int64_t>(queries.size()),
-                 result->answer_cost.work);
-  }
-  return result;
+  PITRACT_ASSIGN_OR_RETURN(DataHandle route, Route(problem, data));
+  return AnswerBatch(route, queries);
 }
 
 Result<DataHandle> QueryEngine::Intern(std::string_view problem,
                                        std::string data) const {
-  auto entry = Find(problem);
+  auto entry = FindLanguage(problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
   DataHandle handle;
   handle.problem = std::string(problem);
   handle.data = std::make_shared<const std::string>(std::move(data));
@@ -560,34 +461,47 @@ Result<DataHandle> QueryEngine::Intern(std::string_view problem,
   return handle;
 }
 
-Result<BatchResult> QueryEngine::AnswerBatch(
-    const DataHandle& handle, std::span<const std::string> queries) {
-  return AnswerBatch(handle, queries, AnswerOptions{});
+Result<DataHandle> QueryEngine::Route(std::string_view problem,
+                                      const std::string& data) {
+  auto entry = FindLanguage(problem);
+  if (!entry.ok()) return entry.status();
+  DataHandle route;
+  route.problem = (*entry)->name;
+  route.data = std::shared_ptr<const std::string>(std::shared_ptr<const void>(),
+                                                  &data);
+  // Selection (and its O(|D|) fingerprint) only runs when this entry has
+  // alternatives and the model is live; the single-witness route pays just
+  // the key build.
+  if (!(*entry)->alternatives.empty() &&
+      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
+    route.part_fingerprint = PartFingerprint(data);
+  }
+  const SelectedWitness sel =
+      SelectWitness(**entry, &data, route.part_fingerprint);
+  // The key carries the solver's choice, so a preparer handed this route
+  // on a cold part builds the Π that was selected here.
+  route.key = store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
+  return route;
 }
 
 Result<BatchResult> QueryEngine::AnswerBatch(
-    const DataHandle& handle, std::span<const std::string> queries,
-    const AnswerOptions& options) {
+    const DataHandle& handle, std::span<const std::string> queries) {
   if (handle.data == nullptr || handle.key.bytes == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
-  auto entry = Find(handle.problem);
+  auto entry = FindLanguage(handle.problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + handle.problem +
-                                      "' has no Σ*-level witness");
-  }
-  // The handle's key names the witness it was interned under — answer
+  // The handle's key names the witness it was admitted under — answer
   // hooks must come from that candidate, never from the current selection.
   const SelectedWitness sel = ResolveWitnessFromKey(**entry, handle.key);
   WitnessBatchPath path(
-      **entry, *sel.witness, sel.profile,
+      *sel.witness, sel.profile,
       MakeEntryOptions(*sel.witness, sel.size_of, (*entry)->spillable,
                        sel.descriptor, handle.data->size()),
-      &store_, handle, queries, options);
+      &store_, handle, queries);
   auto result = RunBatch(&path);
   if (result.ok()) {
-    NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
+    NoteAnswered(**entry, sel, handle.part_fingerprint,
                  static_cast<int64_t>(queries.size()),
                  result->answer_cost.work);
   }
@@ -596,17 +510,12 @@ Result<BatchResult> QueryEngine::AnswerBatch(
 
 Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
                                         std::span<const std::string> queries,
-                                        const AnswerOptions& options,
                                         BatchResult* result) {
   if (handle.data == nullptr || handle.key.bytes == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
-  auto entry = Find(handle.problem);
+  auto entry = FindLanguage(handle.problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + handle.problem +
-                                      "' has no Σ*-level witness");
-  }
   const SelectedWitness sel = ResolveWitnessFromKey(**entry, handle.key);
   PreparedStore::PreparedView view;
   if (!store_.TryGetView(handle.key,
@@ -616,55 +525,10 @@ Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
                          nullptr, &view)) {
     return false;  // cold: the caller parks the batch and prepares off-path
   }
-  WitnessBatchPath path(**entry, *sel.witness, sel.profile, &store_,
-                        std::move(view), queries, options);
+  WitnessBatchPath path(*sel.witness, std::move(view), queries);
   auto answered = RunBatch(&path);
   if (!answered.ok()) return answered.status();
-  NoteAnswered(**entry, sel, handle.part_fingerprint, handle.data->size(),
-               static_cast<int64_t>(queries.size()),
-               answered->answer_cost.work);
-  *result = std::move(answered).value();
-  return true;
-}
-
-Result<bool> QueryEngine::TryAnswerWarm(std::string_view problem,
-                                        const std::string& data,
-                                        std::span<const std::string> queries,
-                                        const AnswerOptions& options,
-                                        BatchResult* result,
-                                        PreparedStore::Key* cold_key) {
-  auto entry = Find(problem);
-  if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
-  uint64_t fp = 0;
-  if (!(*entry)->alternatives.empty() &&
-      cost_model_.policy() != CostModel::Policy::kPrimaryOnly) {
-    fp = PartFingerprint(data);
-  }
-  const SelectedWitness sel = SelectWitness(**entry, &data, fp);
-  // The one O(|D|) key build this call pays, counted like every other
-  // string-keyed admission; a parked caller hands the key to its preparer
-  // so the bytes are never hashed twice — and the key carries the solver's
-  // witness choice, so the preparer builds the Π that was selected here.
-  PreparedStore::Key key =
-      store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
-  PreparedStore::PreparedView view;
-  if (!store_.TryGetView(key,
-                         MakeEntryOptions(*sel.witness, sel.size_of,
-                                          (*entry)->spillable, sel.descriptor,
-                                          data.size()),
-                         nullptr, &view)) {
-    if (cold_key != nullptr) *cold_key = std::move(key);
-    return false;
-  }
-  WitnessBatchPath path(**entry, *sel.witness, sel.profile, &store_,
-                        std::move(view), queries, options);
-  auto answered = RunBatch(&path);
-  if (!answered.ok()) return answered.status();
-  NoteAnswered(**entry, sel, fp, data.size(),
+  NoteAnswered(**entry, sel, handle.part_fingerprint,
                static_cast<int64_t>(queries.size()),
                answered->answer_cost.work);
   *result = std::move(answered).value();
@@ -678,12 +542,8 @@ Status QueryEngine::Prepare(std::string_view problem,
   if (data == nullptr || key.bytes == nullptr) {
     return Status::InvalidArgument("Prepare needs a data part and its key");
   }
-  auto entry = Find(problem);
+  auto entry = FindLanguage(problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
   const ProblemEntry* e = *entry;
   // A parked cold key already embeds the witness the admission-time solver
   // chose; parsing it back out makes the preparer build exactly that Π.
@@ -722,12 +582,8 @@ Result<bool> QueryEngine::Answer(std::string_view problem,
 Result<bool> QueryEngine::AnswerInstance(std::string_view problem,
                                          const std::string& x,
                                          CostMeter* meter) {
-  auto entry = Find(problem);
+  auto entry = FindLanguage(problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
   PITRACT_ASSIGN_OR_RETURN(std::string data, (*entry)->factorization.pi1(x));
   PITRACT_ASSIGN_OR_RETURN(std::string query, (*entry)->factorization.pi2(x));
   return Answer(problem, data, query, meter);
@@ -737,12 +593,8 @@ Result<DeltaOutcome> QueryEngine::ApplyDelta(std::string_view problem,
                                              const std::string& data,
                                              const DeltaBatch& delta,
                                              CostMeter* meter) {
-  auto entry = Find(problem);
+  auto entry = FindLanguage(problem);
   if (!entry.ok()) return entry.status();
-  if (!(*entry)->has_language) {
-    return Status::FailedPrecondition("problem '" + std::string(problem) +
-                                      "' has no Σ*-level witness");
-  }
   if (!(*entry)->apply_delta_to_data) {
     return Status::FailedPrecondition("problem '" + std::string(problem) +
                                       "' registers no data-delta hook");

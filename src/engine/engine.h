@@ -98,6 +98,8 @@ struct ProblemEntry {
 /// Handles are immutable values: copy/share them freely across threads.
 /// A handle addresses the data part it was interned for — after an
 /// ApplyDelta, intern the post-delta data part for a new handle.
+/// `QueryEngine::Route` builds the same handle for a single call, aliasing
+/// the caller's bytes instead of owning a copy.
 struct DataHandle {
   std::string problem;
   /// The data part, shared so Π can still run on a (rare) cold miss
@@ -110,19 +112,6 @@ struct DataHandle {
   uint64_t part_fingerprint = 0;
 };
 
-/// Per-batch answering knobs (orthogonal to the per-entry EntryOptions the
-/// registry supplies).
-struct AnswerOptions {
-  /// Batch-local access-locality scheduling: for kernel-path batches of at
-  /// least kSortProbesMinBatch queries, sort the decoded span by probe
-  /// address before the kernel call and unpermute the answers after, so
-  /// random gathers over a big view become near-sequential ones. Below the
-  /// threshold the sort costs more than the locality buys, so small
-  /// batches always run in arrival order.
-  bool sort_probes = false;
-  static constexpr size_t kSortProbesMinBatch = 4096;
-};
-
 /// What Prepare did for this batch.
 struct PrepareOutcome {
   bool ran_pi = false;     // Π actually executed
@@ -131,13 +120,11 @@ struct PrepareOutcome {
 
 /// How the answering half of a batch executed.
 enum class BatchAnswerMode {
-  /// Per-query scalar loop: each query re-parsed and answered through
-  /// `answer_view` (or the string `answer` hook).
+  /// Per-query loop: each query answered through `answer_view` (queries
+  /// that are not numeric) or the string `answer` hook (no view resident).
   kScalar,
-  /// Queries pre-decoded once per batch, then answered one at a time
-  /// through `answer_view_decoded` — no per-query byte parsing.
-  kPreDecoded,
-  /// One `answer_view_batch` kernel call answered the whole span.
+  /// Queries decoded once per batch, then one `answer_view_batch` call
+  /// answered the whole span.
   kKernel,
 };
 
@@ -174,7 +161,7 @@ class BatchPath {
   /// `answers` and setting `mode`, returning true. Returning false (the
   /// default) means "no batch implementation here" and the driver falls
   /// back to the AnswerOne loop. Must be all-or-nothing: on error the
-  /// whole batch fails, matching the scalar loop's first-error-wins.
+  /// whole batch fails, matching the per-query loop's first-error-wins.
   virtual Result<bool> TryAnswerAll(std::vector<bool>* answers,
                                     BatchAnswerMode* mode, CostMeter* meter) {
     (void)answers;
@@ -252,14 +239,11 @@ class QueryEngine {
   /// Answers a batch of queries against one data part: Π(data) is fetched
   /// from (or inserted into) the PreparedStore, then every query runs the
   /// witness's NC answer step. Thread-safe; concurrent batches over the
-  /// same data part run Π once (in-flight deduplication).
+  /// same data part run Π once (in-flight deduplication). A thin wrapper:
+  /// builds this call's `Route` and answers through the handle overload.
   Result<BatchResult> AnswerBatch(std::string_view problem,
                                   const std::string& data,
                                   std::span<const std::string> queries);
-  Result<BatchResult> AnswerBatch(std::string_view problem,
-                                  const std::string& data,
-                                  std::span<const std::string> queries,
-                                  const AnswerOptions& options);
 
   /// Digest-handle admission: computes the content digest and full store
   /// key for `data` once. Use with the `AnswerBatch(handle, ...)` overload
@@ -267,14 +251,19 @@ class QueryEngine {
   /// copy + hash from the warm path.
   Result<DataHandle> Intern(std::string_view problem, std::string data) const;
 
-  /// AnswerBatch against a pre-admitted data part: identical semantics to
-  /// the string-keyed overload, but a warm batch performs no O(|D|) key
-  /// build, hash, or compare (Stats::key_builds stays untouched).
+  /// One-call admission, the route every string-keyed call takes: a handle
+  /// whose `data` *aliases* the caller's bytes (nothing is copied, so they
+  /// must outlive the route) and whose key embeds the witness selected for
+  /// this part. Pays the one O(|D|) key build, counted in
+  /// Stats::key_builds; fingerprints the part only when witness selection
+  /// needs it (alternatives registered and a non-primary-only policy).
+  Result<DataHandle> Route(std::string_view problem, const std::string& data);
+
+  /// AnswerBatch against an admitted data part: a warm batch performs no
+  /// O(|D|) key build, hash, or compare (Stats::key_builds stays
+  /// untouched).
   Result<BatchResult> AnswerBatch(const DataHandle& handle,
                                   std::span<const std::string> queries);
-  Result<BatchResult> AnswerBatch(const DataHandle& handle,
-                                  std::span<const std::string> queries,
-                                  const AnswerOptions& options);
 
   // --- completion-pipeline faces (see engine/pipeline.h) -------------------
 
@@ -285,19 +274,11 @@ class QueryEngine {
   /// running Π, blocking on an in-flight Π, or touching a shard mutex —
   /// so a serving worker can park the batch and keep draining warm
   /// traffic. Errors (unknown problem, a query that fails to parse) are
-  /// real errors, not "cold".
+  /// real errors, not "cold". String-keyed callers probe through their
+  /// `Route`, whose key the preparer then reuses on a cold part.
   Result<bool> TryAnswerWarm(const DataHandle& handle,
                              std::span<const std::string> queries,
-                             const AnswerOptions& options,
                              BatchResult* result);
-  /// String-keyed flavor: pays the one O(|D|) key build per call (counted
-  /// in Stats::key_builds, like the string-keyed AnswerBatch) and, when
-  /// the part is cold and `cold_key` is non-null, hands the built key back
-  /// so the caller's preparer can run Π without rebuilding it.
-  Result<bool> TryAnswerWarm(std::string_view problem, const std::string& data,
-                             std::span<const std::string> queries,
-                             const AnswerOptions& options, BatchResult* result,
-                             PreparedStore::Key* cold_key);
 
   /// The preparer half of the completion pipeline: ensures Π(data) is
   /// resident under `key`, running Π (with in-flight dedup) on a miss.
@@ -325,7 +306,7 @@ class QueryEngine {
   /// is registered and Π(D) is resident, Δ-patches the PreparedStore entry
   /// in place (re-keying it to the post-delta digest) instead of paying a
   /// full Π recompute. Thread-safe against concurrent AnswerBatch /
-  /// ServeParallel traffic: a Π in flight on the old data part is waited
+  /// ServePipeline traffic: a Π in flight on the old data part is waited
   /// out once and the patch retried against what it publishes
   /// (`Stats::update_retries`) — an entry is never re-keyed out from
   /// under waiters on the shared_future — and readers that already
@@ -395,6 +376,8 @@ class QueryEngine {
     int index = 0;
   };
 
+  /// Find, restricted to entries with a Σ*-level witness.
+  Result<const ProblemEntry*> FindLanguage(std::string_view name) const;
   static SelectedWitness CandidateAt(const ProblemEntry& entry, int index);
   /// Parses the witness name out of a store key's bytes and returns the
   /// matching candidate — the only correct way to pick answer hooks for a
@@ -413,8 +396,8 @@ class QueryEngine {
   /// profile and, under kAdaptive, re-runs selection when a part's traffic
   /// crosses a doubling boundary.
   void NoteAnswered(const ProblemEntry& entry, const SelectedWitness& selected,
-                    uint64_t part_fingerprint, size_t data_bytes,
-                    int64_t queries, int64_t answer_ops);
+                    uint64_t part_fingerprint, int64_t queries,
+                    int64_t answer_ops);
 
   mutable std::shared_mutex registry_mutex_;
   std::map<std::string, ProblemEntry, std::less<>> entries_;

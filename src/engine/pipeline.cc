@@ -38,7 +38,6 @@ ServePipeline::ServePipeline(QueryEngine* engine,
   opts_.pi_retries = std::max(opts_.pi_retries, 0);
   opts_.pi_retry_backoff_ns = std::max<int64_t>(opts_.pi_retry_backoff_ns, 0);
   opts_.quarantine_ttl_ns = std::max<int64_t>(opts_.quarantine_ttl_ns, 0);
-  answer_options_.sort_probes = opts_.sort_probes;
 
   // vector(n) default-constructs in place — the tallies hold CostMeters,
   // which are neither copyable nor movable.
@@ -189,8 +188,8 @@ void ServePipeline::CompleteUnit(UnitPtr unit, const Status& status,
 }
 
 bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
-  const uint64_t digest = unit->key.digest;
-  PrepareJob job;
+  const uint64_t digest = unit->route.key.digest;
+  DataHandle job;
   bool enqueue_job = false;
   bool quarantined = false;
   {
@@ -222,11 +221,7 @@ bool ServePipeline::ParkUnit(UnitPtr unit, WorkerTally* tally) {
       // (possibly redundant) job, so a publish can never strand a unit —
       // the redundant prepare is an instant store hit and requeues it.
       enqueue_job = list.empty();
-      if (enqueue_job) {
-        job.problem = unit->problem;
-        job.data = unit->data;
-        job.key = unit->key;
-      }
+      if (enqueue_job) job = unit->route;
       list.push_back(std::move(unit));
       ++parked_;
       queue_depth_max_ = std::max(
@@ -262,20 +257,35 @@ bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
                  0);
     return true;
   }
+  if (unit->route.data == nullptr) {
+    // First probe of a submitted item: route it once; a requeue after a
+    // prepare probes through the same key.
+    if (item.handle != nullptr) {
+      unit->route = *item.handle;
+    } else {
+      auto route = engine_->Route(item.problem, item.data);
+      if (!route.ok()) {
+        if (tally->errors++ == 0) tally->first_error = route.status();
+        CompleteUnit(std::move(unit), route.status(), 0);
+        return true;
+      }
+      unit->route = std::move(route).value();
+    }
+  }
   BatchResult result;
-  Result<bool> warm = false;
-  if (unit->key.bytes != nullptr) {
-    // Requeued after a prepare (or a handle item on its cold route): the
-    // key is already built, probe through it.
-    DataHandle route{unit->problem, unit->data, unit->key};
-    warm = engine_->TryAnswerWarm(route, item.queries, answer_options_,
-                                  &result);
-  } else if (item.handle != nullptr) {
-    warm = engine_->TryAnswerWarm(*item.handle, item.queries, answer_options_,
-                                  &result);
-  } else {
-    warm = engine_->TryAnswerWarm(item.problem, item.data, item.queries,
-                                  answer_options_, &result, &unit->key);
+  Result<bool> warm = engine_->TryAnswerWarm(unit->route, item.queries,
+                                             &result);
+  // Cold with the requeue budget spent (the entry keeps getting evicted
+  // between publish and probe): degrade to the blocking path, which
+  // terminates via the store's in-flight rendezvous.
+  if (warm.ok() && !*warm && unit->requeues >= opts_.max_requeues) {
+    auto answered = engine_->AnswerBatch(unit->route, item.queries);
+    if (answered.ok()) {
+      result = std::move(answered).value();
+      warm = true;
+    } else {
+      warm = answered.status();
+    }
   }
   if (!warm.ok()) {
     if (tally->errors++ == 0) tally->first_error = warm.status();
@@ -288,43 +298,7 @@ bool ServePipeline::ProcessUnit(UnitPtr unit, WorkerTally* tally) {
     CompleteUnit(std::move(unit), Status::OK(), queries);
     return true;
   }
-  // Cold. Requeue budget spent (the entry keeps getting evicted between
-  // publish and probe): degrade to the blocking path, which terminates
-  // via the store's in-flight rendezvous.
-  if (unit->requeues >= opts_.max_requeues) {
-    auto answered =
-        item.handle != nullptr
-            ? engine_->AnswerBatch(*item.handle, item.queries,
-                                   answer_options_)
-            : (unit->key.bytes != nullptr
-                   ? engine_->AnswerBatch(
-                         DataHandle{unit->problem, unit->data, unit->key},
-                         item.queries, answer_options_)
-                   : engine_->AnswerBatch(item.problem, item.data,
-                                          item.queries, answer_options_));
-    if (!answered.ok()) {
-      if (tally->errors++ == 0) tally->first_error = answered.status();
-      CompleteUnit(std::move(unit), answered.status(), 0);
-      return true;
-    }
-    RecordAnswered(tally, *answered);
-    const int64_t queries = static_cast<int64_t>(answered->answers.size());
-    CompleteUnit(std::move(unit), Status::OK(), queries);
-    return true;
-  }
   ++unit->requeues;
-  if (unit->key.bytes == nullptr) {
-    // First park of a handle item: the cold route aliases the handle.
-    unit->problem = item.handle->problem;
-    unit->data = item.handle->data;
-    unit->key = item.handle->key;
-  } else if (unit->data == nullptr) {
-    // First park of a string item: the probe built the key; the data
-    // bytes stay where they are (the item outlives the pipeline run).
-    unit->problem = item.problem;
-    unit->data = std::shared_ptr<const std::string>(
-        std::shared_ptr<const void>(), &item.data);
-  }
   return ParkUnit(std::move(unit), tally);
 }
 
@@ -338,14 +312,20 @@ bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
   }
   // Warm fast path: no Unit allocation, no queue, no shared write beyond
   // the store's own hit accounting — the whole item lives on this stack.
+  // A string item routes here (its one key build); the route aliases the
+  // item's bytes, which outlive the pipeline run.
+  DataHandle route;
+  if (item.handle == nullptr) {
+    auto routed = engine_->Route(item.problem, item.data);
+    if (!routed.ok()) {
+      if (tally->errors++ == 0) tally->first_error = routed.status();
+      return true;
+    }
+    route = std::move(routed).value();
+  }
+  const DataHandle& handle = item.handle != nullptr ? *item.handle : route;
   BatchResult result;
-  PreparedStore::Key cold_key;
-  auto warm =
-      item.handle != nullptr
-          ? engine_->TryAnswerWarm(*item.handle, item.queries,
-                                   answer_options_, &result)
-          : engine_->TryAnswerWarm(item.problem, item.data, item.queries,
-                                   answer_options_, &result, &cold_key);
+  auto warm = engine_->TryAnswerWarm(handle, item.queries, &result);
   if (!warm.ok()) {
     if (tally->errors++ == 0) tally->first_error = warm.status();
     return true;
@@ -360,16 +340,7 @@ bool ServePipeline::ProcessIndex(int64_t index, WorkerTally* tally) {
   unit->work = &item;
   unit->deadline_ns = deadline;
   unit->requeues = 1;
-  if (item.handle != nullptr) {
-    unit->problem = item.handle->problem;
-    unit->data = item.handle->data;
-    unit->key = item.handle->key;
-  } else {
-    unit->problem = item.problem;
-    unit->data = std::shared_ptr<const std::string>(
-        std::shared_ptr<const void>(), &item.data);
-    unit->key = std::move(cold_key);
-  }
+  unit->route = item.handle != nullptr ? *item.handle : std::move(route);
   return ParkUnit(std::move(unit), tally);
 }
 
@@ -432,7 +403,7 @@ void ServePipeline::WorkerLoop(size_t worker_index) {
 void ServePipeline::PreparerLoop(size_t preparer_index) {
   PreparerTally& tally = preparer_tallies_[preparer_index];
   for (;;) {
-    PrepareJob job;
+    DataHandle job;
     {
       std::unique_lock<std::mutex> lock(prep_mu_);
       prep_cv_.wait(lock,

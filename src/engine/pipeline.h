@@ -22,8 +22,7 @@
 namespace pitract {
 namespace engine {
 
-/// Knobs for a ServePipeline (the completion-based serving core behind
-/// ServeParallel and the open-loop load generator).
+/// Knobs for a ServePipeline, the completion-based serving core.
 struct PipelineOptions {
   /// Answer workers. 0 = auto: one per hardware thread (>= 1).
   int threads = 0;
@@ -32,7 +31,9 @@ struct PipelineOptions {
   /// pure cold storm keeps the Π parallelism the blocking driver had.
   int preparers = 0;
   /// Work items a worker claims per pull from the bulk-workload cursor
-  /// (see ServeOptions::batch). Clamped to >= 1.
+  /// (one fetch_add covers `claim_batch` items), so N workers hammering a
+  /// warm store contend on the cursor line 1/claim_batch as often.
+  /// Clamped to >= 1.
   int claim_batch = 8;
   /// Bound on queued work: in Submit mode, admitted-but-incomplete items
   /// past it are shed at admission; in workload mode, cold items past it
@@ -46,9 +47,6 @@ struct PipelineOptions {
   /// dequeued after their deadline complete with Status::DeadlineExceeded
   /// without burning answer work. 0 = none.
   int64_t default_deadline_ns = 0;
-  /// Probe-address sorting for large warm kernel batches (see
-  /// AnswerOptions::sort_probes).
-  bool sort_probes = false;
   /// Cold re-probes an item gets through the park/prepare/requeue loop
   /// before degrading to the blocking answer path. An entry evicted
   /// between publish and requeue would otherwise ping-pong forever; the
@@ -99,7 +97,7 @@ struct ItemOutcome {
 /// witness).
 ///
 /// Two submission faces share the machinery:
-///  * `SubmitWorkload` — the bulk/batch face ServeParallel wraps: claims
+///  * `SubmitWorkload` — the bulk/batch face: claims
 ///    (workload.size() x repeat) items through an atomic cursor, one
 ///    fetch_add per `claim_batch` items. A warm steady-state run touches
 ///    no queue mutex at all — byte-for-byte the PR 5 claiming discipline.
@@ -139,9 +137,9 @@ class ServePipeline {
   /// Blocks until every admitted item has completed.
   void Drain();
 
-  /// Aggregated counters (PR 5-style per-thread tallies merged on read).
-  /// Meaningful after Drain(); wall_seconds / queries_per_second are left
-  /// to the caller, which owns the clock around its submission pattern.
+  /// Aggregated counters (per-thread tallies merged on read). Meaningful
+  /// after Drain(); wall-clock rates are left to the caller, which owns
+  /// the clock around its submission pattern.
   ServeReport report();
 
  private:
@@ -156,21 +154,13 @@ class ServePipeline {
     int requeues = 0;
     int64_t submit_ns = 0;
     int64_t deadline_ns = 0;  // absolute; 0 = none
-    /// Cold route, filled at first park: what a preparer needs to run Π
-    /// (for handle items these alias the handle; for string items the key
-    /// comes from the probe and `data` aliases the item's bytes).
-    std::string problem;
-    std::shared_ptr<const std::string> data;
-    PreparedStore::Key key;
+    /// The handle this unit answers through — the item's own, or the
+    /// QueryEngine::Route its first probe built for a string item (aliasing
+    /// the item's bytes). Empty until that probe; a preparer runs Π from
+    /// it when the part is cold.
+    DataHandle route;
   };
   using UnitPtr = std::unique_ptr<Unit>;
-
-  /// One Π build request for the preparer pool.
-  struct PrepareJob {
-    std::string problem;
-    std::shared_ptr<const std::string> data;
-    PreparedStore::Key key;
-  };
 
   /// Per-worker tallies: private until the merge in report().
   struct alignas(64) WorkerTally {
@@ -219,7 +209,6 @@ class ServePipeline {
 
   QueryEngine* const engine_;
   PipelineOptions opts_;  // resolved (threads/preparers/claim_batch > 0)
-  AnswerOptions answer_options_;
 
   // Bulk workload (SubmitWorkload): claimed via the atomic cursor.
   std::span<const ServeWorkItem> workload_;
@@ -254,7 +243,7 @@ class ServePipeline {
   // Preparer pool.
   std::mutex prep_mu_;
   std::condition_variable prep_cv_;
-  std::deque<PrepareJob> prep_jobs_;
+  std::deque<DataHandle> prep_jobs_;  // Π build requests, one per key
   bool stop_preparers_ = false;
 
   std::vector<WorkerTally> worker_tallies_;

@@ -246,8 +246,8 @@ class PreparedStore {
   /// Builds a Key: the one place the O(|D|) copy + hash is paid.
   static Key InternKey(std::string_view problem, std::string_view witness,
                        std::string_view data);
-  /// InternKey plus the Stats::key_builds charge — for callers (e.g. the
-  /// engine's string-keyed TryAnswerWarm) that materialize a key outside
+  /// InternKey plus the Stats::key_builds charge — for callers (e.g.
+  /// QueryEngine::Route) that materialize a key outside
   /// the string-keyed GetOrComputeView but must stay visible to the
   /// admission-cost counters.
   Key BuildKeyCounted(std::string_view problem, std::string_view witness,

@@ -2,7 +2,6 @@
 #define PITRACT_ENGINE_SERVE_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -20,56 +19,27 @@ struct ServeWorkItem {
   std::string data;
   std::vector<std::string> queries;
   /// Pre-admitted form (see QueryEngine::Intern): when set, workers answer
-  /// through `AnswerBatch(*handle, queries)` — zero O(|D|) key work per
-  /// batch — and `problem`/`data` above are ignored.
+  /// through `*handle` — zero O(|D|) key work per batch — and
+  /// `problem`/`data` above are ignored.
   std::shared_ptr<const DataHandle> handle;
 };
 
-struct ServeOptions {
-  /// Worker threads pulling work items. 0 = auto: one per hardware
-  /// thread (std::thread::hardware_concurrency, clamped to >= 1).
-  int threads = 0;
-  /// Passes over the whole workload (> 1 measures the warm store).
-  int repeat = 1;
-  /// Work items a worker claims per pull from the shared cursor (one
-  /// fetch_add covers `batch` items), so N workers hammering a warm store
-  /// contend on the cursor line 1/batch as often. Clamped to >= 1.
-  int batch = 8;
-  /// Preparer threads running Π for cold misses off the answer workers
-  /// (see engine/pipeline.h). 0 = auto: as many as the resolved answer
-  /// worker count, so a pure cold storm keeps the same Π parallelism the
-  /// pre-pipeline driver had.
-  int preparers = 0;
-  /// Bound on cold work items parked awaiting a preparer; past it, further
-  /// misses are shed (counted in ServeReport::shed, completed with
-  /// Status::Unavailable). 0 = unbounded.
-  size_t queue_depth = 0;
-  /// Per-item deadline, relative to the run's start (this is the batch
-  /// driver; the pipeline's Submit face takes per-item deadlines). Items
-  /// dequeued after it complete with Status::DeadlineExceeded instead of
-  /// burning answer work (ServeReport::deadline_expired). 0 = none.
-  int64_t deadline_ns = 0;
-  /// Probe-address sorting for large warm kernel batches (see
-  /// AnswerOptions::sort_probes).
-  bool sort_probes = false;
-};
-
-/// Aggregate of one ServeParallel run.
+/// Aggregate of one ServePipeline run (ServePipeline::report). Wall-clock
+/// rates are left to the caller, which owns the clock around its
+/// submission pattern.
 struct ServeReport {
   int64_t batches = 0;     // successfully answered work items
   int64_t queries = 0;     // queries answered across those batches
   int64_t pi_runs = 0;     // how many batches actually executed Π
   int64_t cache_hits = 0;  // batches served from the PreparedStore
   /// Batches answered by one `answer_view_batch` kernel call (vs the
-  /// scalar per-query loop) — warm kernel-enabled entries should show
+  /// per-query loop) — warm kernel-enabled entries should show
   /// kernel_batches == batches.
   int64_t kernel_batches = 0;
   /// Bytes charged by the answer step across all batches (probe traffic).
   int64_t answer_bytes_read = 0;
   int64_t errors = 0;
   Status first_error;  // OK when errors == 0
-  double wall_seconds = 0;
-  double queries_per_second = 0;
   /// Summed Π cost across workers and preparers (charged only on actual
   /// Π runs plus the per-batch probe op).
   Cost prepare_cost;
@@ -110,25 +80,6 @@ struct ServeReport {
   /// subset in each emitter. Pairs with PreparedStore::Stats::ToJson().
   std::string ToJson() const;
 };
-
-/// Drives `workload` through the completion pipeline (engine/pipeline.h)
-/// from `options.threads` concurrent answer workers: the multi-threaded
-/// face of the prepare-once/answer-many contract. Workers claim
-/// `options.batch` work items per pull from a shared atomic cursor and
-/// keep every tally — batch/query counts and a thread-local CostMeter —
-/// in private storage, merged once after the join, so the warm serving
-/// loop touches no shared mutable state between pulls. Warm items answer
-/// immediately on the kernel path; a cold miss *parks* its item on the
-/// preparer pool (`options.preparers`) and the worker keeps draining warm
-/// traffic — no worker ever blocks on Π, so one expensive prepare cannot
-/// head-of-line-block cheap answers. Concurrent misses on the same data
-/// part still dedup onto one Π run inside the store, and warm hits stay
-/// lock-free end to end. Used by bench_x3_concurrency for both the
-/// closed-loop queries/sec rows and (through ServePipeline::Submit) the
-/// open-loop latency rows.
-ServeReport ServeParallel(QueryEngine* engine,
-                          std::span<const ServeWorkItem> workload,
-                          const ServeOptions& options);
 
 }  // namespace engine
 }  // namespace pitract

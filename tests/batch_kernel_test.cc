@@ -1,13 +1,15 @@
-// The batch answer kernel layer (PiWitness::decode_query /
-// answer_view_decoded / answer_view_batch): batch-vs-scalar parity across
-// every kernel-enabled entry — including a λ-rewritten and two
-// reduction-transported ones — over degenerate and large batch sizes, the
-// pre-decoded scalar fallback, error parity, warm-store counter hygiene,
-// and (under TSan) concurrent kernel batches racing ApplyDelta re-keys.
+// The batch answer layer (PiWitness::decode_query / answer_view_batch):
+// one parity suite against the string `answer` reference — same answers,
+// same error codes, same charged work — across every kernel-enabled entry
+// (including a λ-rewritten and reduction-transported ones) and every
+// registered witness alternative, over degenerate and large batch sizes;
+// warm-store counter hygiene; and (under TSan) concurrent kernel batches
+// racing ApplyDelta re-keys.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,21 +23,20 @@
 #include "engine/delta.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
+#include "string_path_engine.h"
 
 namespace pitract {
 namespace engine {
 namespace {
 
-std::unique_ptr<QueryEngine> MakeEngine(const BuiltinOptions& options) {
+std::unique_ptr<QueryEngine> MakeEngine() {
   auto engine = std::make_unique<QueryEngine>();
-  auto status = RegisterBuiltins(engine.get(), options);
+  auto status = RegisterBuiltins(engine.get());
   EXPECT_TRUE(status.ok()) << status.ToString();
   return engine;
 }
 
-std::unique_ptr<QueryEngine> MakeEngine() {
-  return MakeEngine(BuiltinOptions{});
-}
+constexpr size_t kBatchSizes[] = {0, 1, 7, 64, 257};
 
 struct Case {
   std::string problem;
@@ -146,60 +147,138 @@ std::vector<Case> MakeKernelCases(int num_queries) {
   return cases;
 }
 
+const Case& CaseFor(const std::vector<Case>& cases, const std::string& name) {
+  for (const Case& c : cases) {
+    if (c.problem == name) return c;
+  }
+  ADD_FAILURE() << "no case for " << name;
+  return cases.front();
+}
+
 // ---------------------------------------------------------------------------
-// Parity: the kernel path, the pre-decoded scalar loop, the scalar view
-// loop and the string path all answer identically — across empty, single,
-// odd and larger-than-typical batch sizes.
+// Parity: the kernel path and the string `answer` reference answer
+// identically and charge the same work — across empty, single, odd and
+// larger-than-typical batch sizes.
 // ---------------------------------------------------------------------------
 
-TEST(BatchKernelTest, KernelScalarAndStringPathsAgreeOnEveryKernelEntry) {
-  constexpr int kMaxBatch = 257;
+TEST(BatchKernelTest, KernelAndStringPathsAgreeOnEveryKernelEntry) {
   auto kernel_engine = MakeEngine();
-  BuiltinOptions no_kernels;
-  no_kernels.enable_batch_kernels = false;
-  auto scalar_engine = MakeEngine(no_kernels);
-  BuiltinOptions no_views;
-  no_views.enable_views = false;
-  auto string_engine = MakeEngine(no_views);
+  auto string_engine = MakeStringPathEngine();
 
-  for (const Case& c : MakeKernelCases(kMaxBatch)) {
+  for (const Case& c : MakeKernelCases(257)) {
     auto entry = kernel_engine->Find(c.problem);
     ASSERT_TRUE(entry.ok()) << c.problem;
     EXPECT_TRUE((*entry)->witness.has_batch_kernel())
         << c.problem << " lost its batch kernel";
-    auto stripped = scalar_engine->Find(c.problem);
+    auto stripped = string_engine->Find(c.problem);
     ASSERT_TRUE(stripped.ok()) << c.problem;
-    EXPECT_FALSE((*stripped)->witness.has_batch_kernel()) << c.problem;
-    EXPECT_TRUE((*stripped)->witness.has_view()) << c.problem;
+    EXPECT_FALSE((*stripped)->witness.has_view()) << c.problem;
 
-    for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{64},
-                         size_t{257}}) {
+    for (size_t batch : kBatchSizes) {
       const std::vector<std::string> queries(c.queries.begin(),
                                              c.queries.begin() + batch);
-      auto kernel =
-          kernel_engine->AnswerBatch(c.problem, c.data, queries);
+      auto kernel = kernel_engine->AnswerBatch(c.problem, c.data, queries);
       ASSERT_TRUE(kernel.ok())
           << c.problem << "/" << batch << ": " << kernel.status().ToString();
       EXPECT_EQ(kernel->mode, BatchAnswerMode::kKernel)
           << c.problem << "/" << batch;
-      auto scalar = scalar_engine->AnswerBatch(c.problem, c.data, queries);
-      ASSERT_TRUE(scalar.ok()) << c.problem << "/" << batch;
-      EXPECT_EQ(scalar->mode, BatchAnswerMode::kScalar)
+      auto reference = string_engine->AnswerBatch(c.problem, c.data, queries);
+      ASSERT_TRUE(reference.ok()) << c.problem << "/" << batch;
+      EXPECT_EQ(reference->mode, BatchAnswerMode::kScalar)
           << c.problem << "/" << batch;
-      auto string_batch =
-          string_engine->AnswerBatch(c.problem, c.data, queries);
-      ASSERT_TRUE(string_batch.ok()) << c.problem << "/" << batch;
-      EXPECT_EQ(kernel->answers, scalar->answers)
+      EXPECT_EQ(kernel->answers, reference->answers)
           << c.problem << "/" << batch;
-      EXPECT_EQ(kernel->answers, string_batch->answers)
-          << c.problem << "/" << batch;
-      // One kernel call charges the same conceptual work as the scalar
+      // One kernel call charges the same conceptual work as the per-query
       // probes (the batch is parallel in depth, not in work).
-      EXPECT_EQ(kernel->answer_cost.work, scalar->answer_cost.work)
-          << c.problem << "/" << batch;
-      EXPECT_EQ(kernel->answer_cost.work, string_batch->answer_cost.work)
+      EXPECT_EQ(kernel->answer_cost.work, reference->answer_cost.work)
           << c.problem << "/" << batch;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Every registered witness alternative, forced through the engine: the
+// B+-tree column, the BFS edge scan (each a per-query loop behind
+// answer_view_batch) and the view-less GVP bitmap. Answers and error codes
+// match the alternative's own string `answer`; the tree and the scan
+// charge each probe in sequence, so their work and depth are pinned here.
+// ---------------------------------------------------------------------------
+
+TEST(BatchKernelTest, EveryWitnessAlternativeMatchesItsStringReference) {
+  struct Charge {
+    int64_t work;
+    int64_t depth;
+  };
+  struct Alternative {
+    std::string problem;
+    std::string witness;
+    BatchAnswerMode mode;
+    /// Charges per kBatchSizes entry; empty: must equal the reference's.
+    std::vector<Charge> pinned;
+    std::vector<std::string> bad_batch;
+  };
+  const std::vector<Alternative> alternatives = {
+      {"list-membership",
+       "bptree-column",
+       BatchAnswerMode::kKernel,
+       {{0, 0}, {8, 8}, {56, 56}, {512, 512}, {2056, 2056}},
+       {"1", "not-an-int"}},
+      {"graph-reachability",
+       "edge-scan",
+       BatchAnswerMode::kKernel,
+       {{0, 0}, {2, 2}, {316, 316}, {2677, 2677}, {10246, 10246}},
+       {"0#1", "5#999999", "2#3"}},
+      {"cvp-refactorized",
+       "evaluate-all-gates-string",
+       BatchAnswerMode::kScalar,
+       {},
+       {"0", "-1"}},
+  };
+  auto kernel_engine = MakeEngine();
+  kernel_engine->cost_model().ForceWitness(1);
+  auto string_engine = MakeStringPathEngine();
+  string_engine->cost_model().ForceWitness(1);
+  const std::vector<Case> cases = MakeKernelCases(257);
+
+  for (const Alternative& alt : alternatives) {
+    const Case& c = CaseFor(cases, alt.problem);
+    for (size_t b = 0; b < std::size(kBatchSizes); ++b) {
+      const size_t batch = kBatchSizes[b];
+      const std::vector<std::string> queries(c.queries.begin(),
+                                             c.queries.begin() + batch);
+      auto got = kernel_engine->AnswerBatch(c.problem, c.data, queries);
+      ASSERT_TRUE(got.ok())
+          << alt.witness << "/" << batch << ": " << got.status().ToString();
+      EXPECT_EQ(got->mode, alt.mode) << alt.witness << "/" << batch;
+      auto reference = string_engine->AnswerBatch(c.problem, c.data, queries);
+      ASSERT_TRUE(reference.ok()) << alt.witness << "/" << batch;
+      EXPECT_EQ(got->answers, reference->answers)
+          << alt.witness << "/" << batch;
+      if (alt.pinned.empty()) {
+        EXPECT_EQ(got->answer_cost.work, reference->answer_cost.work)
+            << alt.witness << "/" << batch;
+      } else {
+        EXPECT_EQ(got->answer_cost.work, alt.pinned[b].work)
+            << alt.witness << "/" << batch;
+        EXPECT_EQ(got->answer_cost.depth, alt.pinned[b].depth)
+            << alt.witness << "/" << batch;
+      }
+    }
+    // The batches really ran on the alternative, not on the primary.
+    EXPECT_TRUE(
+        kernel_engine->store().Contains(c.problem, alt.witness, c.data))
+        << alt.witness;
+    EXPECT_TRUE(
+        string_engine->store().Contains(c.problem, alt.witness, c.data))
+        << alt.witness;
+
+    auto bad = kernel_engine->AnswerBatch(c.problem, c.data, alt.bad_batch);
+    auto bad_reference =
+        string_engine->AnswerBatch(c.problem, c.data, alt.bad_batch);
+    ASSERT_FALSE(bad.ok()) << alt.witness;
+    ASSERT_FALSE(bad_reference.ok()) << alt.witness;
+    EXPECT_EQ(bad.status().code(), bad_reference.status().code())
+        << alt.witness;
   }
 }
 
@@ -237,14 +316,17 @@ TEST(BatchKernelTest, ComposedReductionDecodeChainKeepsTheKernelEngaged) {
   }
 }
 
-TEST(BatchKernelTest, EntriesWithoutNumericQueriesFallBackToScalar) {
+TEST(BatchKernelTest, EntriesWithoutNumericQueriesAnswerThroughTheView) {
   auto engine = MakeEngine();
-  // Circuit-assignment queries are not numeric: no decode hook, no kernel.
+  auto string_engine = MakeStringPathEngine();
+  // Circuit-assignment queries are not numeric: no decode hook, no kernel,
+  // but the per-query view face still skips the circuit re-decode.
   for (const char* name : {"cvp-nand-eval", "cvp-via-nand"}) {
     auto entry = engine->Find(name);
     ASSERT_TRUE(entry.ok()) << name;
     EXPECT_FALSE((*entry)->witness.has_batch_kernel()) << name;
-    EXPECT_FALSE((*entry)->witness.has_decoded_answer()) << name;
+    EXPECT_TRUE((*entry)->witness.has_view()) << name;
+    EXPECT_TRUE(static_cast<bool>((*entry)->witness.answer_view)) << name;
   }
   Rng rng(5);
   circuit::CircuitGenOptions copts;
@@ -262,18 +344,24 @@ TEST(BatchKernelTest, EntriesWithoutNumericQueriesFallBackToScalar) {
     }
     queries.push_back(std::move(bits));
   }
-  auto batch = engine->AnswerBatch("cvp-nand-eval", data, queries);
-  ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->mode, BatchAnswerMode::kScalar);
+  for (const char* name : {"cvp-nand-eval", "cvp-via-nand"}) {
+    auto batch = engine->AnswerBatch(name, data, queries);
+    ASSERT_TRUE(batch.ok()) << name << ": " << batch.status().ToString();
+    EXPECT_EQ(batch->mode, BatchAnswerMode::kScalar) << name;
+    auto reference = string_engine->AnswerBatch(name, data, queries);
+    ASSERT_TRUE(reference.ok()) << name;
+    EXPECT_EQ(batch->answers, reference->answers) << name;
+    EXPECT_EQ(batch->answer_cost.work, reference->answer_cost.work) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------
-// The pre-decoded scalar fallback: a witness with decode_query and
-// answer_view_decoded but no answer_view_batch still stops re-parsing
-// bytes per query.
+// A numeric witness builds its view only for the batch face: strip the
+// kernel and there is no view to build, so batches answer through the
+// string `answer` hook.
 // ---------------------------------------------------------------------------
 
-TEST(BatchKernelTest, DecodedScalarFallbackRunsWhenNoKernelExists) {
+TEST(BatchKernelTest, NumericWitnessWithoutKernelAnswersThroughString) {
   auto engine = std::make_unique<QueryEngine>();
   ProblemEntry entry;
   entry.name = "member-no-kernel";
@@ -283,7 +371,7 @@ TEST(BatchKernelTest, DecodedScalarFallbackRunsWhenNoKernelExists) {
   entry.witness = core::MemberWitness();
   ASSERT_TRUE(entry.witness.has_batch_kernel());
   entry.witness.answer_view_batch = nullptr;
-  ASSERT_TRUE(entry.witness.has_decoded_answer());
+  ASSERT_FALSE(entry.witness.has_view());
   ASSERT_TRUE(engine->Register(std::move(entry)).ok());
 
   Rng rng(11);
@@ -300,7 +388,8 @@ TEST(BatchKernelTest, DecodedScalarFallbackRunsWhenNoKernelExists) {
   }
   auto batch = engine->AnswerBatch("member-no-kernel", data, queries);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch->mode, BatchAnswerMode::kPreDecoded);
+  EXPECT_EQ(batch->mode, BatchAnswerMode::kScalar);
+  EXPECT_EQ(engine->store().stats().view_builds, 0);
   for (size_t i = 0; i < queries.size(); ++i) {
     bool expected = false;
     const int64_t e = std::stoll(queries[i]);
@@ -310,15 +399,13 @@ TEST(BatchKernelTest, DecodedScalarFallbackRunsWhenNoKernelExists) {
 }
 
 // ---------------------------------------------------------------------------
-// Error parity: an invalid query fails the whole batch on every path with
+// Error parity: an invalid query fails the whole batch on both paths with
 // the same status code (first-error-wins).
 // ---------------------------------------------------------------------------
 
 TEST(BatchKernelTest, InvalidQueriesFailTheBatchOnEveryPath) {
   auto kernel_engine = MakeEngine();
-  BuiltinOptions no_kernels;
-  no_kernels.enable_batch_kernels = false;
-  auto scalar_engine = MakeEngine(no_kernels);
+  auto string_engine = MakeStringPathEngine();
 
   Rng rng(21);
   auto g = graph::ErdosRenyi(32, 64, /*directed=*/false, &rng);
@@ -334,11 +421,11 @@ TEST(BatchKernelTest, InvalidQueriesFailTheBatchOnEveryPath) {
   for (const auto& queries : bad_batches) {
     auto kernel = kernel_engine->AnswerBatch("connectivity", conn_data,
                                              queries);
-    auto scalar = scalar_engine->AnswerBatch("connectivity", conn_data,
-                                             queries);
+    auto reference = string_engine->AnswerBatch("connectivity", conn_data,
+                                                queries);
     ASSERT_FALSE(kernel.ok()) << queries.back();
-    ASSERT_FALSE(scalar.ok()) << queries.back();
-    EXPECT_EQ(kernel.status().code(), scalar.status().code())
+    ASSERT_FALSE(reference.ok()) << queries.back();
+    EXPECT_EQ(kernel.status().code(), reference.status().code())
         << queries.back();
   }
 }

@@ -14,8 +14,10 @@
 #include "engine/crosscheck.h"
 #include "engine/engine.h"
 #include "engine/prepared_store.h"
+#include "engine/pipeline.h"
 #include "engine/serve.h"
 #include "graph/generators.h"
+#include "string_path_engine.h"
 
 namespace pitract {
 namespace engine {
@@ -436,7 +438,7 @@ TEST(EngineHandleTest, InternValidatesTheProblem) {
       engine->AnswerBatch(DataHandle{}, std::vector<std::string>{"0"}).ok());
 }
 
-// ServeParallel's per-worker tallies (thread-local CostMeters, batched
+// ServePipeline's per-worker tallies (thread-local CostMeters, batched
 // cursor pulls) must aggregate to the same totals a sequential driver
 // sees: counts exact, Π cost charged once per data part, answer cost
 // proportional to the query volume, threads = 0 resolved to the machine.
@@ -459,11 +461,13 @@ TEST(EngineServeReportTest, TalliesAggregateAcrossWorkersAndBatchedPulls) {
     }
     workload.push_back(std::move(item));
   }
-  ServeOptions options;
-  options.threads = 0;  // auto: hardware_concurrency
-  options.repeat = kRepeat;
-  options.batch = 2;    // force several pulls per worker
-  auto report = ServeParallel(engine.get(), workload, options);
+  PipelineOptions options;
+  options.threads = 0;      // auto: hardware_concurrency
+  options.claim_batch = 2;  // force several pulls per worker
+  ServePipeline pipeline(engine.get(), options);
+  pipeline.SubmitWorkload(workload, kRepeat);
+  pipeline.Drain();
+  const ServeReport report = pipeline.report();
   EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
   EXPECT_GE(report.threads, 1);
   EXPECT_EQ(report.batches, kParts * kRepeat);
@@ -479,15 +483,6 @@ TEST(EngineServeReportTest, TalliesAggregateAcrossWorkersAndBatchedPulls) {
 // Decoded Π-views: the view path must agree with the string path on every
 // view-enabled builtin (including rewritten and reduction-derived ones).
 // ---------------------------------------------------------------------------
-
-std::unique_ptr<QueryEngine> MakeStringPathEngine() {
-  auto engine = std::make_unique<QueryEngine>();
-  BuiltinOptions options;
-  options.enable_views = false;
-  auto status = RegisterBuiltins(engine.get(), options);
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  return engine;
-}
 
 TEST(EngineViewTest, ViewAndStringPathsAgreeOnEveryViewEnabledBuiltin) {
   auto view_engine = MakeEngine();

@@ -1,7 +1,7 @@
 // Randomized and adversarial coverage for the serving layer's incremental
 // Π(D) maintenance: QueryEngine::ApplyDelta / PreparedStore::UpdateData
 // against a recompute-from-scratch shadow model, the O(|Δ|)-not-O(|D|)
-// cost contract, and Δ-patching racing live ServeParallel traffic.
+// cost contract, and Δ-patching racing live ServePipeline traffic.
 
 #include <gtest/gtest.h>
 
@@ -22,11 +22,13 @@
 #include "engine/builtins.h"
 #include "engine/delta.h"
 #include "engine/engine.h"
+#include "engine/pipeline.h"
 #include "engine/serve.h"
 #include "graph/algos.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "ncsim/ncsim.h"
+#include "string_path_engine.h"
 
 namespace pitract {
 namespace engine {
@@ -515,7 +517,7 @@ TEST(IncrementalViewTest, PatchedReachEntryServesThePostPatchClosureView) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: ServeParallel traffic racing ApplyDelta on the same entry
+// Concurrency: ServePipeline traffic racing ApplyDelta on the same entry
 // never observes a torn or stale-digest Π. Content addressing is the
 // invariant under test: a batch against data version v must answer v's
 // answers no matter how many Δ-patches land concurrently.
@@ -634,10 +636,16 @@ TEST(IncrementalConcurrencyTest, ServeTrafficRacingApplyDeltaStaysConsistent) {
     }
     workload.push_back(std::move(item));
   }
-  ServeOptions serve_options;
-  serve_options.threads = 4;
-  serve_options.repeat = 20;
-  auto report = ServeParallel(engine.get(), workload, serve_options);
+  constexpr int kRepeat = 20;
+  PipelineOptions pipeline_options;
+  pipeline_options.threads = 4;
+  ServeReport report;
+  {
+    ServePipeline pipeline(engine.get(), pipeline_options);
+    pipeline.SubmitWorkload(workload, kRepeat);
+    pipeline.Drain();
+    report = pipeline.report();
+  }
 
   updater.join();
   done.store(true, std::memory_order_release);
@@ -647,7 +655,7 @@ TEST(IncrementalConcurrencyTest, ServeTrafficRacingApplyDeltaStaysConsistent) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(mismatches.load(), 0)
       << "a batch observed a torn or stale-digest Π";
-  EXPECT_EQ(report.batches, kVersions * serve_options.repeat);
+  EXPECT_EQ(report.batches, kVersions * kRepeat);
 }
 
 // Engine-level face of the PR 5 retry contract: an ApplyDelta racing the
@@ -816,8 +824,7 @@ TEST(MvccLineageTest, StaleHandleResolvesToFirstResidentSuccessor) {
   // records to the first resident successor (v2) and serves exactly its
   // answers — no Π rebuild, no torn mix of versions.
   BatchResult result;
-  auto served = engine->TryAnswerWarm(*handle0, chain.queries,
-                                      AnswerOptions{}, &result);
+  auto served = engine->TryAnswerWarm(*handle0, chain.queries, &result);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(*served);
   EXPECT_TRUE(result.cache_hit);
@@ -830,8 +837,7 @@ TEST(MvccLineageTest, StaleHandleResolvesToFirstResidentSuccessor) {
   auto handle2 = engine->Intern("list-membership", chain.data[2]);
   ASSERT_TRUE(handle2.ok());
   BatchResult retained;
-  auto warm2 = engine->TryAnswerWarm(*handle2, chain.queries, AnswerOptions{},
-                                     &retained);
+  auto warm2 = engine->TryAnswerWarm(*handle2, chain.queries, &retained);
   ASSERT_TRUE(warm2.ok());
   EXPECT_TRUE(*warm2);
   EXPECT_EQ(retained.answers, chain.expected[2]);
@@ -871,12 +877,7 @@ TEST(MvccLineageTest, SupersededVersionEvictsFirstWithExactAccounting) {
     options.shards = 1;
     options.versions = 2;
     options.byte_budget = byte_budget;
-    auto engine = std::make_unique<QueryEngine>(options);
-    BuiltinOptions builtin_options;
-    builtin_options.enable_views = false;
-    auto status = RegisterBuiltins(engine.get(), builtin_options);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return engine;
+    return MakeStringPathEngine(options);
   };
 
   // Dry run, unbounded: measure the exact residency of every step.
@@ -942,8 +943,7 @@ TEST(MvccLineageTest, SupersededVersionEvictsFirstWithExactAccounting) {
   // the lineage records to the resident successor — warm, no Π re-run.
   const int64_t misses_before = engine->store().stats().misses;
   BatchResult stale;
-  auto served = engine->TryAnswerWarm(*handle0, queries, AnswerOptions{},
-                                      &stale);
+  auto served = engine->TryAnswerWarm(*handle0, queries, &stale);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
   EXPECT_TRUE(*served);
   EXPECT_TRUE(stale.cache_hit);
@@ -999,7 +999,7 @@ TEST(IncrementalConcurrencyTest, ReadersRaceDeltaChainAcrossVersions) {
         BatchResult result;
         auto served =
             engine->TryAnswerWarm(handles[static_cast<size_t>(v)],
-                                  chain.queries, AnswerOptions{}, &result);
+                                  chain.queries, &result);
         if (!served.ok()) {
           ++errors;
           continue;

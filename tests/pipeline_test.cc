@@ -1,14 +1,17 @@
 // Coverage for the completion-based serving pipeline (engine/pipeline.h):
 // the no-head-of-line-blocking property pinned with a blocking Π witness,
-// deadline expiry at dequeue, admission / park-time load shedding, the
-// batch-locality sort_probes answer option, and a TSan suite racing
-// submitters against preparers against eviction.
+// deadline expiry at dequeue, admission / park-time load shedding, cost-
+// model traffic from parked and fallback items, the ServeReport and store
+// Stats JSON blobs, and a TSan suite racing submitters against preparers
+// against eviction.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "engine/engine.h"
 #include "engine/pipeline.h"
 #include "engine/serve.h"
+#include "graph/generators.h"
 
 namespace pitract {
 namespace engine {
@@ -359,11 +363,6 @@ TEST(ServePipelineTest, WorkloadColdItemsShedWhenPendingQueueFull) {
 }
 
 // ---------------------------------------------------------------------------
-// sort_probes: batch-locality scheduling is answer-identical to arrival
-// order — the permutation must round-trip exactly.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
 // Version-race orphan fix: a unit addressing a data part that a Δ-patch
 // re-keyed away (the exact state a parked unit wakes up to) must answer
 // warm through the store's lineage resolution — not re-park, burn its
@@ -440,46 +439,221 @@ TEST(ServePipelineTest, ReKeyedPartAnswersThroughLineageNotASecondPi) {
   EXPECT_EQ(engine->store().stats().lineage_resolves, 1);
 }
 
-TEST(AnswerOptionsTest, SortProbesMatchesArrivalOrderAnswers) {
+// ---------------------------------------------------------------------------
+// Cost-model traffic: under kAdaptive every answered item counts toward its
+// part's traffic — also an item that parked on a cold part first, and one
+// that degraded to the blocking fallback. Each must keep its part
+// fingerprint through the park, or its queries never reach the model.
+// ---------------------------------------------------------------------------
+
+std::string ReachData(uint64_t seed) {
+  Rng rng(seed);
+  auto g = graph::ErdosRenyi(32, 64, /*directed=*/true, &rng);
+  return core::ReachFactorization()
+      .pi1(core::MakeReachInstance(g, 0, 0))
+      .value();
+}
+
+const std::vector<std::string> kReachQueries = {"0#1", "3#7", "31#0", "5#5"};
+
+std::unique_ptr<QueryEngine> MakeAdaptiveEngine() {
   auto engine = MakeEngine();
-  Rng rng(99);
-  const int64_t universe = 1 << 16;
-  std::vector<int64_t> list;
-  for (int i = 0; i < 4096; ++i) {
-    list.push_back(
-        static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(universe))));
+  engine->cost_model().SetPolicy(CostModel::Policy::kAdaptive);
+  return engine;
+}
+
+/// Runs `item` once through a fresh pipeline's bulk face.
+ServeReport RunWorkloadItem(QueryEngine* engine, const ServeWorkItem& item) {
+  PipelineOptions options;
+  options.threads = 1;
+  options.preparers = 1;
+  ServePipeline pipeline(engine, options);
+  pipeline.SubmitWorkload(std::span<const ServeWorkItem>(&item, 1),
+                          /*repeat=*/1);
+  pipeline.Drain();
+  return pipeline.report();
+}
+
+/// Runs `item` once through a fresh pipeline's Submit face.
+ServeReport RunSubmittedItem(QueryEngine* engine, ServeWorkItem item,
+                             int max_requeues) {
+  PipelineOptions options;
+  options.threads = 1;
+  options.preparers = 1;
+  options.max_requeues = max_requeues;
+  ServePipeline pipeline(engine, options);
+  EXPECT_TRUE(pipeline.Submit(std::move(item)).ok());
+  pipeline.Drain();
+  return pipeline.report();
+}
+
+TEST(ServePipelineTrafficTest, ParkedHandleItemCountsTowardTraffic) {
+  auto engine = MakeAdaptiveEngine();
+  auto handle = engine->Intern("graph-reachability", ReachData(1));
+  ASSERT_TRUE(handle.ok());
+  const uint64_t fp = handle->part_fingerprint;
+  ServeWorkItem item;
+  item.handle = std::make_shared<const DataHandle>(*handle);
+  item.queries = kReachQueries;
+
+  // Cold: the item parks, a preparer runs Π, the requeued item answers.
+  ServeReport cold = RunWorkloadItem(engine.get(), item);
+  ASSERT_EQ(cold.errors, 0) << cold.first_error.ToString();
+  ASSERT_EQ(cold.pi_runs, 1);
+  ASSERT_EQ(cold.batches, 1);
+  EXPECT_EQ(engine->cost_model().TrafficFor(fp), 4);
+
+  // Warm: answered on the fast path, same count.
+  ServeReport warm = RunWorkloadItem(engine.get(), item);
+  ASSERT_EQ(warm.errors, 0) << warm.first_error.ToString();
+  ASSERT_EQ(warm.pi_runs, 0);
+  EXPECT_EQ(engine->cost_model().TrafficFor(fp), 8);
+
+  // Submit face: a parked handle item on a fresh part counts too.
+  auto other = engine->Intern("graph-reachability", ReachData(2));
+  ASSERT_TRUE(other.ok());
+  ServeWorkItem submitted;
+  submitted.handle = std::make_shared<const DataHandle>(*other);
+  submitted.queries = kReachQueries;
+  ServeReport parked =
+      RunSubmittedItem(engine.get(), std::move(submitted), /*max_requeues=*/2);
+  ASSERT_EQ(parked.errors, 0) << parked.first_error.ToString();
+  ASSERT_EQ(parked.pi_runs, 1);
+  EXPECT_EQ(engine->cost_model().TrafficFor(other->part_fingerprint), 4);
+}
+
+TEST(ServePipelineTrafficTest, ParkedStringItemCountsTowardTraffic) {
+  auto engine = MakeAdaptiveEngine();
+  ServeWorkItem item;
+  item.problem = "graph-reachability";
+  item.data = ReachData(3);
+  item.queries = kReachQueries;
+  ServeReport cold = RunWorkloadItem(engine.get(), item);
+  ASSERT_EQ(cold.errors, 0) << cold.first_error.ToString();
+  ASSERT_EQ(cold.pi_runs, 1);
+  ASSERT_EQ(cold.batches, 1);
+  EXPECT_EQ(
+      engine->cost_model().TrafficFor(QueryEngine::PartFingerprint(item.data)),
+      4);
+}
+
+TEST(ServePipelineTrafficTest, BlockingFallbackAnswersAndCountsStringItems) {
+  // max_requeues = 0: a cold submitted item skips the park and answers on
+  // the blocking path at once.
+  auto engine = MakeAdaptiveEngine();
+  ServeWorkItem item;
+  item.problem = "graph-reachability";
+  item.data = ReachData(4);
+  item.queries = kReachQueries;
+  const uint64_t fp = QueryEngine::PartFingerprint(item.data);
+  ServeReport report =
+      RunSubmittedItem(engine.get(), std::move(item), /*max_requeues=*/0);
+  EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
+  EXPECT_EQ(report.batches, 1);
+  EXPECT_EQ(report.pi_runs, 1);
+  EXPECT_EQ(engine->cost_model().TrafficFor(fp), 4);
+}
+
+// ---------------------------------------------------------------------------
+// The observability blobs: one key per field, every value round-trips.
+// ---------------------------------------------------------------------------
+
+/// Parses a flat {"key":int,...} object; fails the test on anything else.
+std::map<std::string, int64_t> ParseFlatJson(const std::string& json) {
+  std::map<std::string, int64_t> fields;
+  EXPECT_GE(json.size(), 2u);
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  size_t pos = 1;
+  while (pos + 1 < json.size()) {
+    EXPECT_EQ(json[pos], '"') << json;
+    const size_t end = json.find('"', pos + 1);
+    EXPECT_NE(end, std::string::npos) << json;
+    EXPECT_EQ(json[end + 1], ':') << json;
+    const std::string key = json.substr(pos + 1, end - pos - 1);
+    size_t value_end = json.find_first_of(",}", end + 2);
+    EXPECT_TRUE(fields.emplace(key, std::stoll(json.substr(
+                                        end + 2, value_end - end - 2)))
+                    .second)
+        << "duplicate key " << key;
+    pos = value_end + 1;
   }
-  const std::string data = MemberData(universe, list);
+  return fields;
+}
 
-  const size_t n = AnswerOptions::kSortProbesMinBatch + 1000;
-  std::vector<std::string> queries;
-  for (size_t i = 0; i < n; ++i) {
-    queries.push_back(std::to_string(
-        static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(universe)))));
-  }
+TEST(ReportJsonTest, ServeReportBlobHasOneKeyPerField) {
+  ServeReport report;
+  report.batches = 1;
+  report.queries = 2;
+  report.pi_runs = 3;
+  report.cache_hits = 4;
+  report.kernel_batches = 5;
+  report.answer_bytes_read = 6;
+  report.errors = 7;
+  report.prepare_cost = Cost{8, 9};
+  report.answer_cost = Cost{10, 11};
+  report.threads = 12;
+  report.deadline_expired = 13;
+  report.shed = 14;
+  report.queue_depth_max = 15;
+  report.preparer_busy_ns = 16;
+  report.preparers = 17;
+  report.pi_failures = 18;
+  report.pi_retries = 19;
+  report.quarantined = 20;
+  const std::map<std::string, int64_t> want = {
+      {"batches", 1},         {"queries", 2},
+      {"pi_runs", 3},         {"cache_hits", 4},
+      {"kernel_batches", 5},  {"answer_bytes_read", 6},
+      {"errors", 7},          {"prepare_work", 8},
+      {"prepare_depth", 9},   {"answer_work", 10},
+      {"answer_depth", 11},   {"threads", 12},
+      {"deadline_expired", 13}, {"shed", 14},
+      {"queue_depth_max", 15}, {"preparer_busy_ns", 16},
+      {"preparers", 17},      {"pi_failures", 18},
+      {"pi_retries", 19},     {"quarantined", 20},
+  };
+  const auto got = ParseFlatJson(report.ToJson());
+  EXPECT_EQ(got, want);
+  // Wall-clock rates belong to the caller's clock, not to the report.
+  EXPECT_EQ(got.count("wall_seconds"), 0u);
+  EXPECT_EQ(got.count("queries_per_second"), 0u);
+}
 
-  auto arrival = engine->AnswerBatch("list-membership", data, queries);
-  ASSERT_TRUE(arrival.ok()) << arrival.status().ToString();
-
-  AnswerOptions sorted_options;
-  sorted_options.sort_probes = true;
-  auto sorted =
-      engine->AnswerBatch("list-membership", data, queries, sorted_options);
-  ASSERT_TRUE(sorted.ok()) << sorted.status().ToString();
-
-  EXPECT_EQ(sorted->answers, arrival->answers);
-  EXPECT_EQ(sorted->mode, arrival->mode);
-  EXPECT_EQ(sorted->answers.size(), n);
-
-  // Below the threshold the sort must not engage (arrival order is the
-  // contract for small batches) — and answers still agree trivially.
-  std::vector<std::string> small(queries.begin(), queries.begin() + 64);
-  auto small_arrival = engine->AnswerBatch("list-membership", data, small);
-  auto small_sorted =
-      engine->AnswerBatch("list-membership", data, small, sorted_options);
-  ASSERT_TRUE(small_arrival.ok());
-  ASSERT_TRUE(small_sorted.ok());
-  EXPECT_EQ(small_sorted->answers, small_arrival->answers);
+TEST(ReportJsonTest, StoreStatsBlobHasOneKeyPerField) {
+  PreparedStore::Stats stats;
+  stats.hits = 1;
+  stats.misses = 2;
+  stats.evictions = 3;
+  stats.inflight_waits = 4;
+  stats.spilled = 5;
+  stats.loaded = 6;
+  stats.patches = 7;
+  stats.patch_fallbacks = 8;
+  stats.key_builds = 9;
+  stats.view_builds = 10;
+  stats.locked_hits = 11;
+  stats.update_retries = 12;
+  stats.lineage_resolves = 13;
+  stats.respill_failures = 14;
+  stats.load_skipped = 15;
+  stats.load_corrupt = 16;
+  stats.view_demotions = 17;
+  stats.cold_demotions = 18;
+  stats.cold_promotions = 19;
+  const std::map<std::string, int64_t> want = {
+      {"hits", 1},           {"misses", 2},
+      {"evictions", 3},      {"inflight_waits", 4},
+      {"spilled", 5},        {"loaded", 6},
+      {"patches", 7},        {"patch_fallbacks", 8},
+      {"key_builds", 9},     {"view_builds", 10},
+      {"locked_hits", 11},   {"update_retries", 12},
+      {"lineage_resolves", 13}, {"respill_failures", 14},
+      {"load_skipped", 15},  {"load_corrupt", 16},
+      {"view_demotions", 17}, {"cold_demotions", 18},
+      {"cold_promotions", 19},
+  };
+  EXPECT_EQ(ParseFlatJson(stats.ToJson()), want);
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/engine.h"
+#include "engine/pipeline.h"
 #include "engine/prepared_store.h"
 #include "engine/serve.h"
 
@@ -1043,7 +1044,20 @@ TEST(EngineServingTest, SpillRestartLoadAnswersWithZeroPiRecomputation) {
   fs::remove_all(dir);
 }
 
-TEST(EngineServingTest, ServeParallelScalesAndDedupsPi) {
+/// Runs `workload` x `repeat` through a fresh ServePipeline to completion.
+ServeReport ServeWorkload(QueryEngine* engine,
+                          const std::vector<ServeWorkItem>& workload,
+                          int threads, int repeat, int claim_batch = 8) {
+  PipelineOptions options;
+  options.threads = threads;
+  options.claim_batch = claim_batch;
+  ServePipeline pipeline(engine, options);
+  pipeline.SubmitWorkload(workload, repeat);
+  pipeline.Drain();
+  return pipeline.report();
+}
+
+TEST(EngineServingTest, ServePipelineScalesAndDedupsPi) {
   PreparedStore::Options options;
   options.shards = 8;
   auto engine = MakeEngine(options);
@@ -1062,17 +1076,14 @@ TEST(EngineServingTest, ServeParallelScalesAndDedupsPi) {
     }
     workload.push_back(std::move(item));
   }
-  ServeOptions serve_options;
-  serve_options.threads = 8;
-  serve_options.repeat = 6;
-  auto report = ServeParallel(engine.get(), workload, serve_options);
+  const ServeReport report =
+      ServeWorkload(engine.get(), workload, /*threads=*/8, /*repeat=*/6);
   EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
   EXPECT_EQ(report.batches, kParts * 6);
   EXPECT_EQ(report.queries, kParts * 6 * 16);
   // Π ran once per distinct data part no matter how many threads hammered.
   EXPECT_EQ(report.pi_runs, kParts);
   EXPECT_EQ(engine->store().stats().misses, kParts);
-  EXPECT_GT(report.queries_per_second, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -1464,7 +1475,7 @@ TEST(PreparedStoreKeyTest, WordAtATimeDigestIsStableAndDiscriminating) {
 // multi-threaded run serves every hit from the published snapshot — the
 // shard mutex is never acquired on the hit path (locked_hits == 0) and Π
 // never re-runs (misses == 0).
-TEST(PreparedStoreLockFreeTest, WarmServeParallelAcquiresNoShardMutex) {
+TEST(PreparedStoreLockFreeTest, WarmServePipelineAcquiresNoShardMutex) {
   auto engine = MakeEngine();
   Rng rng(1801);
   constexpr int kParts = 4;
@@ -1488,18 +1499,14 @@ TEST(PreparedStoreLockFreeTest, WarmServeParallelAcquiresNoShardMutex) {
 
   // Warm pass: pays the misses (and, under racing cold publishes, possibly
   // some locked hits). Everything after ResetStats must be snapshot-only.
-  ServeOptions warmup;
-  warmup.threads = 2;
-  warmup.repeat = 2;
-  auto warm = ServeParallel(engine.get(), workload, warmup);
+  const ServeReport warm =
+      ServeWorkload(engine.get(), workload, /*threads=*/2, /*repeat=*/2);
   ASSERT_EQ(warm.errors, 0) << warm.first_error.ToString();
   engine->store().ResetStats();
 
-  ServeOptions options;
-  options.threads = 4;
-  options.repeat = 8;
-  options.batch = 4;
-  auto report = ServeParallel(engine.get(), workload, options);
+  const ServeReport report = ServeWorkload(engine.get(), workload,
+                                          /*threads=*/4, /*repeat=*/8,
+                                          /*claim_batch=*/4);
   EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
   EXPECT_EQ(report.pi_runs, 0);
   EXPECT_EQ(report.batches, kParts * 8);
