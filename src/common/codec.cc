@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cstring>
+
+#include "common/parallel.h"
 
 namespace pitract {
 namespace codec {
@@ -27,6 +30,25 @@ size_t DecimalLength(int64_t v) {
   const int guess = (64 - std::countl_zero(x)) * 1233 >> 12;
   return static_cast<size_t>(guess + (x >= kPow10[guess] ? 1 : 0) +
                              (v < 0 ? 1 : 0));
+}
+
+/// Parses the ','-separated tokens of [p, end) into out[0..]; false on a
+/// malformed token. An empty range is one (malformed) empty token.
+bool ParseInts(const char* p, const char* end, int64_t* out) {
+  while (true) {
+    const auto [ptr, ec] = std::from_chars(p, end, *out++);
+    if (ec != std::errc() || (ptr != end && *ptr != ',')) return false;
+    if (ptr == end) return true;
+    p = ptr + 1;
+  }
+}
+
+/// The arity check of DecodeFieldsExactly and DecodeFieldViewsExactly.
+Status CheckArity(size_t got, size_t n, std::string_view what) {
+  if (got == n) return Status::OK();
+  return Status::InvalidArgument(std::string(what) + " expects " +
+                                 std::to_string(n) + " fields, got " +
+                                 std::to_string(got));
 }
 
 }  // namespace
@@ -132,28 +154,74 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
 }
 
 std::string EncodeInts(const std::vector<int64_t>& values) {
-  if (values.empty()) return {};
-  // Size the string exactly, then let to_chars write straight into it.
-  size_t size = values.size() - 1;
-  for (int64_t v : values) size += DecimalLength(v);
-  std::string out(size, '\0');
-  char* p = out.data();
-  char* const end = p + size;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) *p++ = ',';
-    p = std::to_chars(p, end, values[i]).ptr;
-  }
+  // Chunk c holds values [begin(c), begin(c + 1)), each printed with the
+  // ',' before it (none before the first): its text is sized exactly,
+  // a prefix sum places it, and to_chars writes straight into place.
+  const size_t n = values.size();
+  const size_t chunks = parallel::ChunksFor(n);
+  auto begin = [n, chunks](size_t c) { return c * n / chunks; };
+  const int64_t* const v = values.data();
+  std::vector<size_t> offset(chunks + 1, 0);
+  parallel::Run(chunks, [&](size_t c) {
+    size_t size = 0;
+    for (size_t i = begin(c), end = begin(c + 1); i < end; ++i) {
+      size += DecimalLength(v[i]) + (i > 0 ? 1 : 0);
+    }
+    offset[c + 1] = size;
+  });
+  for (size_t c = 0; c < chunks; ++c) offset[c + 1] += offset[c];
+  std::string out(offset[chunks], '\0');
+  parallel::Run(chunks, [&](size_t c) {
+    char* p = out.data() + offset[c];
+    char* const end = out.data() + offset[c + 1];
+    for (size_t i = begin(c), last = begin(c + 1); i < last; ++i) {
+      if (i > 0) *p++ = ',';
+      p = std::to_chars(p, end, v[i]).ptr;
+    }
+  });
   return out;
 }
 
 Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
-  std::vector<int64_t> values;
-  if (!encoded.empty()) {
-    values.reserve(static_cast<size_t>(
-                       std::count(encoded.begin(), encoded.end(), ',')) +
-                   1);
+  if (encoded.empty()) return std::vector<int64_t>{};
+  // Cut the text just past a ',' near each of `chunks` even splits, so
+  // chunk c is [start[c], start[c + 1]) and all but the last end in ','.
+  const char* const data = encoded.data();
+  const size_t size = encoded.size();
+  const size_t chunks = parallel::ChunksFor(size);
+  std::vector<size_t> start = {0};
+  for (size_t c = 1; c < chunks; ++c) {
+    const size_t from = std::max(c * size / chunks, start.back());
+    const void* comma = std::memchr(data + from, ',', size - from);
+    if (comma == nullptr) break;
+    start.push_back(static_cast<size_t>(static_cast<const char*>(comma) -
+                                        data) +
+                    1);
   }
-  PITRACT_RETURN_IF_ERROR(DecodeIntsInto(encoded, &values));
+  start.push_back(size);
+  const size_t cuts = start.size() - 1;
+  // Tokens per chunk (its commas, plus the final token in the last one),
+  // a prefix sum, then every chunk decodes straight into its slots.
+  std::vector<size_t> first(cuts + 1, 0);
+  parallel::Run(cuts, [&](size_t c) {
+    first[c + 1] = static_cast<size_t>(std::count(
+                       data + start[c], data + start[c + 1], ',')) +
+                   (c + 1 == cuts ? 1 : 0);
+  });
+  for (size_t c = 0; c < cuts; ++c) first[c + 1] += first[c];
+  std::vector<int64_t> values(first[cuts]);
+  std::atomic<bool> malformed{false};
+  parallel::Run(cuts, [&](size_t c) {
+    const char* end = data + start[c + 1] - (c + 1 == cuts ? 0 : 1);
+    if (!ParseInts(data + start[c], end, values.data() + first[c])) {
+      malformed.store(true, std::memory_order_relaxed);
+    }
+  });
+  if (malformed.load(std::memory_order_relaxed)) {
+    // The serial decoder names the first malformed token.
+    std::vector<int64_t> unused;
+    return DecodeIntsInto(encoded, &unused);
+  }
   return values;
 }
 
@@ -215,22 +283,34 @@ Result<std::vector<std::string>> DecodeFieldsExactly(std::string_view encoded,
                                                      std::string_view what) {
   auto fields = DecodeFields(encoded);
   if (!fields.ok()) return fields.status();
-  if (fields->size() != n) {
-    return Status::InvalidArgument(std::string(what) + " expects " +
-                                   std::to_string(n) + " fields, got " +
-                                   std::to_string(fields->size()));
-  }
+  PITRACT_RETURN_IF_ERROR(CheckArity(fields->size(), n, what));
   return fields;
 }
 
-Result<int64_t> DecodeSingleInt(std::string_view field) {
-  auto ints = DecodeInts(field);
-  if (!ints.ok()) return ints.status();
-  if (ints->size() != 1) {
-    return Status::InvalidArgument("expected one integer, got " +
-                                   std::to_string(ints->size()));
+Result<std::vector<std::string_view>> DecodeFieldViewsExactly(
+    std::string_view encoded, size_t n, std::string_view what,
+    std::vector<std::string>* storage) {
+  std::vector<std::string_view> views;
+  if (auto slices = DecodeFieldsView(encoded)) {
+    views = std::move(*slices);
+  } else {
+    auto fields = DecodeFields(encoded);
+    if (!fields.ok()) return fields.status();
+    *storage = std::move(fields).value();
+    views.assign(storage->begin(), storage->end());
   }
-  return (*ints)[0];
+  PITRACT_RETURN_IF_ERROR(CheckArity(views.size(), n, what));
+  return views;
+}
+
+Result<int64_t> DecodeSingleInt(std::string_view field) {
+  std::vector<int64_t> ints;
+  PITRACT_RETURN_IF_ERROR(DecodeIntsInto(field, &ints));
+  if (ints.size() != 1) {
+    return Status::InvalidArgument("expected one integer, got " +
+                                   std::to_string(ints.size()));
+  }
+  return ints[0];
 }
 
 }  // namespace codec

@@ -45,17 +45,22 @@ Result<std::vector<std::string>> DecodeFields(std::string_view encoded);
 std::optional<std::vector<std::string_view>> DecodeFieldsView(
     std::string_view encoded);
 
-/// Compact textual encoding of an int64 sequence ("3,1,4,..." after Escape).
+/// Compact textual encoding of an int64 sequence ("3,1,4,..."). Above
+/// parallel::kGrain values the sizing and printing passes run in chunks on
+/// the fork-join pool; the bytes are the same either way.
 std::string EncodeInts(const std::vector<int64_t>& values);
 
-/// Inverse of EncodeInts. Fails on malformed numerals.
+/// Inverse of EncodeInts. Fails on malformed numerals. Above
+/// parallel::kGrain bytes the text is cut at commas and the chunks are
+/// counted and decoded on the fork-join pool; a malformed token gets the
+/// same Status as from DecodeIntsInto.
 Result<std::vector<int64_t>> DecodeInts(std::string_view encoded);
 
 /// DecodeFieldsView-style span decoder for the hot int-list payloads:
 /// parses `encoded` straight into `*out` (cleared first, capacity kept), so
 /// repeated decodes reuse one buffer and no Result<vector> temporary is
-/// materialized. On failure `*out` is left cleared. DecodeInts delegates
-/// here; prefer this overload on answer paths that decode per query.
+/// materialized. On failure `*out` is left cleared. Always serial and
+/// never touches the pool: use it on answer paths that decode per query.
 Status DecodeIntsInto(std::string_view encoded, std::vector<int64_t>* out);
 
 /// DecodeFields + an arity check, the instance-decoding preamble shared by
@@ -63,6 +68,15 @@ Status DecodeIntsInto(std::string_view encoded, std::vector<int64_t>* out);
 Result<std::vector<std::string>> DecodeFieldsExactly(std::string_view encoded,
                                                      size_t n,
                                                      std::string_view what);
+
+/// DecodeFieldsExactly without copies where it can, for the Π hooks
+/// whose data fields are large enough that copying them shows: the
+/// DecodeFieldsView slices of `encoded` when it has no escape, otherwise
+/// views of the unescaped fields, which are kept in `*storage`. The views
+/// are valid while both `encoded` and `*storage` live.
+Result<std::vector<std::string_view>> DecodeFieldViewsExactly(
+    std::string_view encoded, size_t n, std::string_view what,
+    std::vector<std::string>* storage);
 
 /// Decodes a field that must hold exactly one int64.
 Result<int64_t> DecodeSingleInt(std::string_view field);

@@ -1,7 +1,6 @@
 #include "core/problems.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -10,6 +9,7 @@
 #include "bds/bds.h"
 #include "circuit/transforms.h"
 #include "common/codec.h"
+#include "common/parallel.h"
 #include "graph/algos.h"
 #include "ncsim/ncsim.h"
 
@@ -38,48 +38,6 @@ Result<PiViewPtr> DeserializeIntListView(
   if (!values.ok()) return values.status();
   return PiViewPtr(
       std::make_shared<std::vector<int64_t>>(std::move(values).value()));
-}
-
-/// LSD radix sort of an int64 column, one byte per pass, with the same
-/// result as std::sort. Keys are compared with their sign bit flipped, so
-/// unsigned byte order is signed order. Digits every key shares are found
-/// by one OR pass and skipped outright (no histogram, no scatter): 2^16
-/// values below 2^24 take one counting pass and three scatter passes,
-/// which ping-pong between the column and one scratch buffer.
-void RadixSortInts(std::vector<int64_t>* column) {
-  const size_t n = column->size();
-  if (n < 2) return;
-  constexpr uint64_t kSign = uint64_t{1} << 63;
-  const auto first = static_cast<uint64_t>((*column)[0]);
-  uint64_t varying = 0;
-  for (int64_t key : *column) varying |= static_cast<uint64_t>(key) ^ first;
-  std::array<int, 8> shifts;
-  int digits = 0;
-  for (int shift = 0; shift < 64; shift += 8) {
-    if (((varying >> shift) & 0xFF) != 0) shifts[digits++] = shift;
-  }
-  std::array<std::array<size_t, 256>, 8> counts{};
-  for (int64_t key : *column) {
-    const uint64_t u = static_cast<uint64_t>(key) ^ kSign;
-    for (int d = 0; d < digits; ++d) ++counts[d][(u >> shifts[d]) & 0xFF];
-  }
-  std::vector<int64_t> scratch(digits > 0 ? n : 0);
-  int64_t* src = column->data();
-  for (int d = 0; d < digits; ++d) {
-    int64_t* dst = src == column->data() ? scratch.data() : column->data();
-    std::array<size_t, 256> next;
-    size_t offset = 0;
-    for (int b = 0; b < 256; ++b) {
-      next[b] = offset;
-      offset += counts[d][b];
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t u = static_cast<uint64_t>(src[i]) ^ kSign;
-      dst[next[(u >> shifts[d]) & 0xFF]++] = src[i];
-    }
-    src = dst;
-  }
-  if (src != column->data()) std::copy(src, src + n, column->data());
 }
 
 const std::vector<int64_t>& IntListViewOf(const void* view) {
@@ -393,11 +351,13 @@ PiWitness MemberWitness() {
   w.name = "sort+binary-search";
   w.preprocess = [](const std::string& data,
                     CostMeter* meter) -> Result<std::string> {
-    auto fields = DecodeExactly(data, 2, "member data");
+    std::vector<std::string> storage;
+    auto fields =
+        codec::DecodeFieldViewsExactly(data, 2, "member data", &storage);
     if (!fields.ok()) return fields.status();
     auto list = codec::DecodeInts((*fields)[1]);
     if (!list.ok()) return list.status();
-    RadixSortInts(&*list);
+    parallel::RadixSortInts(&*list);
     if (meter != nullptr) {
       const auto n = static_cast<int64_t>(list->size());
       meter->AddSerial(n * (ncsim::CeilLog2(n < 1 ? 1 : n) + 1));
@@ -442,7 +402,9 @@ PiWitness ConnWitness() {
   w.name = "component-labels";
   w.preprocess = [](const std::string& data,
                     CostMeter* meter) -> Result<std::string> {
-    auto fields = DecodeExactly(data, 1, "conn data");
+    std::vector<std::string> storage;
+    auto fields =
+        codec::DecodeFieldViewsExactly(data, 1, "conn data", &storage);
     if (!fields.ok()) return fields.status();
     auto g = graph::Graph::Decode((*fields)[0]);
     if (!g.ok()) return g.status();
@@ -486,7 +448,9 @@ PiWitness BdsWitness() {
   w.name = "BDS-order (Example 5)";
   w.preprocess = [](const std::string& data,
                     CostMeter* meter) -> Result<std::string> {
-    auto fields = DecodeExactly(data, 1, "bds data");
+    std::vector<std::string> storage;
+    auto fields =
+        codec::DecodeFieldViewsExactly(data, 1, "bds data", &storage);
     if (!fields.ok()) return fields.status();
     auto g = graph::Graph::Decode((*fields)[0]);
     if (!g.ok()) return g.status();

@@ -137,15 +137,21 @@ std::string Graph::Encode() const {
 }
 
 Result<Graph> Graph::Decode(std::string_view encoded) {
-  auto fields = codec::DecodeFields(encoded);
+  std::vector<std::string> storage;
+  auto fields =
+      codec::DecodeFieldViewsExactly(encoded, 3, "graph encoding", &storage);
   if (!fields.ok()) return fields.status();
-  if (fields->size() != 3) {
-    return Status::InvalidArgument("graph encoding needs 3 fields");
-  }
   auto n_field = codec::DecodeInts((*fields)[0]);
   if (!n_field.ok()) return n_field.status();
   if (n_field->size() != 1) {
     return Status::InvalidArgument("bad node count");
+  }
+  // Numerals are int64; a NodeId is narrower, so refuse what would wrap.
+  auto fits = [](int64_t v) { return v == static_cast<NodeId>(v); };
+  if (!fits((*n_field)[0])) {
+    return Status::InvalidArgument("node count " +
+                                   std::to_string((*n_field)[0]) +
+                                   " does not fit a NodeId");
   }
   bool directed;
   if ((*fields)[1] == "d") {
@@ -153,7 +159,8 @@ Result<Graph> Graph::Decode(std::string_view encoded) {
   } else if ((*fields)[1] == "u") {
     directed = false;
   } else {
-    return Status::InvalidArgument("bad directedness tag: " + (*fields)[1]);
+    return Status::InvalidArgument("bad directedness tag: " +
+                                   std::string((*fields)[1]));
   }
   auto flat = codec::DecodeInts((*fields)[2]);
   if (!flat.ok()) return flat.status();
@@ -163,8 +170,14 @@ Result<Graph> Graph::Decode(std::string_view encoded) {
   std::vector<std::pair<NodeId, NodeId>> edges;
   edges.reserve(flat->size() / 2);
   for (size_t i = 0; i < flat->size(); i += 2) {
-    edges.emplace_back(static_cast<NodeId>((*flat)[i]),
-                       static_cast<NodeId>((*flat)[i + 1]));
+    const int64_t u = (*flat)[i];
+    const int64_t v = (*flat)[i + 1];
+    if (!fits(u) || !fits(v)) {
+      return Status::InvalidArgument("edge (" + std::to_string(u) + ", " +
+                                     std::to_string(v) +
+                                     ") does not fit a NodeId");
+    }
+    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
   return FromEdges(static_cast<NodeId>((*n_field)[0]), edges, directed);
 }

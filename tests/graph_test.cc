@@ -184,6 +184,23 @@ TEST(GraphTest, EmptyAndEdgelessGraphs) {
   EXPECT_EQ(negative_decode.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(GraphTest, DecodeRefusesValuesPastNodeIdRange) {
+  // int64 numerals that do not fit a NodeId are refused, not narrowed:
+  // 4294967297 would wrap to 1 and 4294967299 to 3.
+  for (const char* encoded :
+       {"3#u#0,4294967297", "3#d#4294967296,0", "3#u#0,-4294967295",
+        "4294967299#u#0,1", "-4294967293#d#"}) {
+    SCOPED_TRACE(encoded);
+    auto g = Graph::Decode(encoded);
+    ASSERT_FALSE(g.ok());
+    EXPECT_EQ(g.status().code(), StatusCode::kInvalidArgument);
+  }
+  auto fits = Graph::Decode("3#u#0,2");
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits->num_nodes(), 3);
+  EXPECT_TRUE(fits->HasEdge(2, 0));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FromEdgesPropertyTest,
                          ::testing::Values(1, 2, 3, 4));
 

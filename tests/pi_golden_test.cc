@@ -1,9 +1,11 @@
 // Golden outputs of the one-time Π and the view build.
 //
 // Every figure below was pinned against the sort-based reference
-// implementation of the codec, the member Π and Graph::FromEdges. Any
-// rewrite of those layers must reproduce, for seeded member, connectivity,
-// BDS and reachability parts:
+// implementation of the codec, the member Π and Graph::FromEdges; the
+// rows for parts above the parallel grain (member-large,
+// member-large-signed, conn-large) were pinned against the serial radix
+// sort and single-threaded codec. Any rewrite of those layers must
+// reproduce, for seeded member, connectivity, BDS and reachability parts:
 //   * the Fnv1a64 digest of each Π payload and of each decoded view,
 //   * the CostMeter charges of Π (work, depth, bytes read and written),
 //   * the Fnv1a64 digest of the spill frame the store writes (which covers
@@ -198,6 +200,48 @@ std::vector<Part> GoldenParts() {
     parts.push_back(std::move(closure));
     parts.push_back(std::move(scan));
   }
+
+  // Parts above the parallel grain, from their own seed so the rows above
+  // keep their data: the Π and view-build passes split these into chunks.
+  Rng large_rng(20260417);
+  {
+    // The benchmark's member shape at its size: 2^16 draws from [0, 2^17).
+    std::vector<int64_t> list;
+    for (int i = 0; i < (1 << 16); ++i) {
+      list.push_back(static_cast<int64_t>(large_rng.NextBelow(1 << 17)));
+    }
+    parts.push_back(MemberPart("member-large", std::move(list), &large_rng));
+  }
+  {
+    // Full 64-bit signed keys above the grain, with duplicates, the
+    // extremes and a run of keys sharing their high bytes.
+    std::vector<int64_t> list;
+    for (int i = 0; i < 40000; ++i) {
+      list.push_back(static_cast<int64_t>(large_rng.Next()));
+      list.push_back(large_rng.NextInRange(-1000, 1000));
+    }
+    for (int i = 0; i < 10000; ++i) {
+      list.push_back((int64_t{0x1234} << 48) + large_rng.NextInRange(0, 255));
+    }
+    list.push_back(std::numeric_limits<int64_t>::min());
+    list.push_back(std::numeric_limits<int64_t>::max());
+    parts.push_back(
+        MemberPart("member-large-signed", std::move(list), &large_rng));
+  }
+  {
+    auto big = graph::ErdosRenyi(1 << 16, 1 << 16, /*directed=*/false,
+                                 &large_rng);
+    Part conn{"conn-large", "connectivity", core::ConnWitness(),
+              ViewKind::kIntList,
+              core::ConnFactorization()
+                  .pi1(core::MakeConnInstance(big, 0, 0))
+                  .value(),
+              {}};
+    for (int i = 0; i < 64; ++i) {
+      conn.queries.push_back(PairQuery(&large_rng, 1 << 16));
+    }
+    parts.push_back(std::move(conn));
+  }
   return parts;
 }
 
@@ -234,6 +278,12 @@ constexpr Golden kGolden[] = {
      94312, 0, 5360, 0x219d0266a0dd03b2ull, 0x3250598c4409c8e9ull},
     {"reach-edge-scan", 0xbe56d1dd648bea8dull, 0x9745e64cb07a65e6ull, 761, 761,
      0, 0, 0x0ull, 0x0ull},
+    {"member-large", 0x8b11fd73ba7c3b13ull, 0x2383e336b79e6d59ull, 1114112,
+     1114112, 0, 0, 0x92cbf24f5f50451cull, 0x338bbdcd7a7c04cdull},
+    {"member-large-signed", 0xd3f098add478dc8eull, 0xaee1a7eb82a1baefull,
+     1620036, 1620036, 0, 0, 0x61451a2e02e6d5f7ull, 0x487b60be751cfda7ull},
+    {"conn-large", 0xc11e884aade7d41cull, 0x1b6e0041a80b7228ull, 131068,
+     131068, 0, 0, 0x84935fb9be008132ull, 0x313329eafe0d0ac8ull},
 };
 
 const Golden* FindGolden(const std::string& name) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <map>
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "common/cost_meter.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -155,6 +157,99 @@ TEST(ServePipelineTest, WarmItemsCompleteWhileColdPiInFlight) {
   EXPECT_EQ(report.shed, 0);
   EXPECT_EQ(report.deadline_expired, 0);
   EXPECT_GT(report.preparer_busy_ns, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Two cold Π at once on two preparers share the fork-join pool without
+// oversubscribing the cores: one holds the pool, the other runs inline.
+// ---------------------------------------------------------------------------
+
+TEST(ServePipelineTest, TwoColdPiAtOnceShareThePoolOneRunsInline) {
+  // A member problem whose Π waits until the other Π is in flight too,
+  // then holds one parallel::Run until some Run elsewhere went inline (the
+  // other Π's, which finds the pool busy), then runs the real member Π
+  // on a part above the grain.
+  const uint64_t inlined_before = parallel::inlined();
+  std::atomic<int> in_flight{0};
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  auto engine = MakeEngine();
+  ProblemEntry entry;
+  entry.name = "paired-member";
+  entry.paper_anchor = "test-only";
+  entry.has_language = true;
+  entry.witness = core::MemberWitness();
+  entry.witness.preprocess =
+      [&, member_pi = entry.witness.preprocess](
+          const std::string& data, CostMeter* meter) -> Result<std::string> {
+    in_flight.fetch_add(1);
+    while (in_flight.load() < 2 && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    parallel::Run(4, [&](size_t) {
+      while (parallel::inlined() == inlined_before &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+    return member_pi(data, meter);
+  };
+  ASSERT_TRUE(engine->Register(std::move(entry)).ok());
+
+  Rng rng(2014);
+  std::vector<std::string> data;
+  std::vector<std::vector<std::string>> queries(2);
+  std::vector<std::vector<bool>> expected(2);
+  for (int part = 0; part < 2; ++part) {
+    std::vector<int64_t> list;
+    for (int i = 0; i < (1 << 15); ++i) {
+      list.push_back(static_cast<int64_t>(rng.NextBelow(1 << 16)));
+    }
+    data.push_back(MemberData(1 << 16, list));
+    for (int q = 0; q < 64; ++q) {
+      const auto value = static_cast<int64_t>(rng.NextBelow(1 << 16));
+      queries[part].push_back(std::to_string(value));
+      expected[part].push_back(std::find(list.begin(), list.end(), value) !=
+                               list.end());
+    }
+  }
+
+  PipelineOptions options;
+  options.threads = 2;
+  options.preparers = 2;
+  ServePipeline pipeline(engine.get(), options);
+  std::atomic<int> ok{0};
+  for (int part = 0; part < 2; ++part) {
+    ServeWorkItem item;
+    item.problem = "paired-member";
+    item.data = data[part];
+    item.queries = queries[part];
+    ASSERT_TRUE(pipeline
+                    .Submit(std::move(item),
+                            [&](const ItemOutcome& outcome) {
+                              EXPECT_TRUE(outcome.status.ok())
+                                  << outcome.status.ToString();
+                              if (outcome.status.ok()) ok.fetch_add(1);
+                            })
+                    .ok());
+  }
+  pipeline.Drain();
+  EXPECT_EQ(ok.load(), 2);
+  EXPECT_EQ(in_flight.load(), 2);
+  EXPECT_GT(parallel::inlined(), inlined_before)
+      << "neither concurrent Π ran its Run inline";
+  const auto report = pipeline.report();
+  EXPECT_EQ(report.errors, 0) << report.first_error.ToString();
+  EXPECT_EQ(report.pi_runs, 2);
+
+  // Both payloads, built side by side, answer as the lists say.
+  for (int part = 0; part < 2; ++part) {
+    auto batch = engine->AnswerBatch("paired-member", data[part],
+                                     queries[part]);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->prepare_runs, 0);
+    EXPECT_EQ(batch->answers, expected[part]) << "part " << part;
+  }
 }
 
 // ---------------------------------------------------------------------------

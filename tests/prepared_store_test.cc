@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "core/problems.h"
@@ -1478,15 +1479,20 @@ TEST(PreparedStoreKeyTest, WordAtATimeDigestIsStableAndDiscriminating) {
 TEST(PreparedStoreLockFreeTest, WarmServePipelineAcquiresNoShardMutex) {
   auto engine = MakeEngine();
   Rng rng(1801);
-  constexpr int kParts = 4;
+  constexpr int kParts = 5;
   constexpr int kQueries = 16;
   std::vector<ServeWorkItem> workload;
   for (int part = 0; part < kParts; ++part) {
     ServeWorkItem item;
+    // The last part is above the parallel grain: its cold Π forks.
+    const bool large = part == kParts - 1;
+    const int64_t universe = large ? int64_t{1} << 16 : 256;
     auto handle = engine->Intern(
         "list-membership",
         core::MemberFactorization()
-            .pi1(core::MakeMemberInstance(256, RandomList(&rng, 256, 100), 0))
+            .pi1(core::MakeMemberInstance(
+                universe, RandomList(&rng, universe, large ? 1 << 15 : 100),
+                0))
             .value());
     ASSERT_TRUE(handle.ok());
     item.handle =
@@ -1499,10 +1505,15 @@ TEST(PreparedStoreLockFreeTest, WarmServePipelineAcquiresNoShardMutex) {
 
   // Warm pass: pays the misses (and, under racing cold publishes, possibly
   // some locked hits). Everything after ResetStats must be snapshot-only.
+  const uint64_t cold_jobs = parallel::jobs();
   const ServeReport warm =
       ServeWorkload(engine.get(), workload, /*threads=*/2, /*repeat=*/2);
   ASSERT_EQ(warm.errors, 0) << warm.first_error.ToString();
+  if (std::thread::hardware_concurrency() > 1) {
+    EXPECT_GT(parallel::jobs(), cold_jobs);  // the large part's Π forked
+  }
   engine->store().ResetStats();
+  const uint64_t warm_jobs = parallel::jobs();
 
   const ServeReport report = ServeWorkload(engine.get(), workload,
                                           /*threads=*/4, /*repeat=*/8,
@@ -1518,6 +1529,8 @@ TEST(PreparedStoreLockFreeTest, WarmServePipelineAcquiresNoShardMutex) {
   EXPECT_EQ(stats.misses, 0);
   EXPECT_EQ(stats.key_builds, 0);    // handles: no O(|D|) key work either
   EXPECT_EQ(stats.locked_hits, 0);   // the lock-free-hit proof
+  // Warm batches never reach the fork-join pool: no decode, no sort.
+  EXPECT_EQ(parallel::jobs(), warm_jobs);
 }
 
 // Same proof at the store level, plus per-thread stats aggregation: N
