@@ -12,7 +12,7 @@
 //     cleared before registration, so every query re-decodes the
 //     Σ*-encoded Π(D): expected ns/query growing linearly in |D|;
 //   * metric=admission — per-batch overhead of the string-keyed
-//     AnswerBatch (O(|D|) key copy + hash per batch) against the
+//     AnswerBatch (O(|D|) key hash + compare per batch) against the
 //     digest-handle AnswerBatch (QueryEngine::Intern pays it once); the
 //     handle loop must leave PreparedStore::Stats::key_builds untouched,
 //     checked here and enforced again in engine_test.

@@ -239,17 +239,17 @@ QueryEngine::SelectedWitness QueryEngine::CandidateAt(
 
 QueryEngine::SelectedWitness QueryEngine::ResolveWitnessFromKey(
     const ProblemEntry& entry, const PreparedStore::Key& key) {
-  if (key.bytes != nullptr && !entry.alternatives.empty()) {
-    // Keys are `problem \x1f witness \x1f data`; the name between the
+  if (!entry.alternatives.empty()) {
+    // A key's head is `problem \x1f witness \x1f`; the name between the
     // separators says which candidate's hooks built (and can decode) the
     // payload this key addresses.
-    const std::string_view bytes(*key.bytes);
-    const size_t first = bytes.find('\x1f');
+    const std::string_view head(key.head);
+    const size_t first = head.find('\x1f');
     if (first != std::string_view::npos) {
-      const size_t second = bytes.find('\x1f', first + 1);
+      const size_t second = head.find('\x1f', first + 1);
       if (second != std::string_view::npos) {
         const std::string_view name =
-            bytes.substr(first + 1, second - first - 1);
+            head.substr(first + 1, second - first - 1);
         if (name != entry.witness.name) {
           for (size_t i = 0; i < entry.alternatives.size(); ++i) {
             if (entry.alternatives[i].witness.name == name) {
@@ -339,6 +339,23 @@ Status QueryEngine::Register(ProblemEntry entry) {
           "entry '" + entry.name +
           "' has a witness alternative without a distinct name");
     }
+  }
+  // Store keys are `problem \x1f witness \x1f D`: a separator inside a
+  // name would let two (problem, witness) pairs share key bytes and be
+  // served each other's Π(D).
+  auto has_separator = [](const std::string& name) {
+    return name.find('\x1f') != std::string::npos;
+  };
+  bool separator = has_separator(entry.name) ||
+                   has_separator(entry.witness.name);
+  for (const WitnessAlternative& alt : entry.alternatives) {
+    separator = separator || has_separator(alt.witness.name);
+  }
+  if (separator) {
+    return Status::InvalidArgument(
+        "entry '" + entry.name +
+        "': problem and witness names must not contain the key separator "
+        "\\x1f");
   }
   // Every candidate gets a measured-cost profile so selection can learn
   // from real builds/answers without registration boilerplate.
@@ -454,10 +471,11 @@ Result<DataHandle> QueryEngine::Intern(std::string_view problem,
   // Admission is where the solver earns its keep: the handle's key embeds
   // the witness the cost model picked for this part, and every later batch
   // over the handle flows through that choice with zero re-selection work.
+  // The key shares the handle's buffer: D is held once, by both.
   const SelectedWitness sel =
       SelectWitness(**entry, handle.data.get(), handle.part_fingerprint);
   handle.key = PreparedStore::InternKey((*entry)->name, sel.witness->name,
-                                        *handle.data);
+                                        handle.data);
   return handle;
 }
 
@@ -479,14 +497,16 @@ Result<DataHandle> QueryEngine::Route(std::string_view problem,
   const SelectedWitness sel =
       SelectWitness(**entry, &data, route.part_fingerprint);
   // The key carries the solver's choice, so a preparer handed this route
-  // on a cold part builds the Π that was selected here.
-  route.key = store_.BuildKeyCounted((*entry)->name, sel.witness->name, data);
+  // on a cold part builds the Π that was selected here. It borrows the
+  // caller's bytes like route.data; a cold publish copies them once.
+  route.key =
+      store_.BuildKeyCounted((*entry)->name, sel.witness->name, route.data);
   return route;
 }
 
 Result<BatchResult> QueryEngine::AnswerBatch(
     const DataHandle& handle, std::span<const std::string> queries) {
-  if (handle.data == nullptr || handle.key.bytes == nullptr) {
+  if (handle.data == nullptr || handle.key.data == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
   auto entry = FindLanguage(handle.problem);
@@ -511,7 +531,7 @@ Result<BatchResult> QueryEngine::AnswerBatch(
 Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
                                         std::span<const std::string> queries,
                                         BatchResult* result) {
-  if (handle.data == nullptr || handle.key.bytes == nullptr) {
+  if (handle.data == nullptr || handle.key.data == nullptr) {
     return Status::InvalidArgument("empty DataHandle (use Intern)");
   }
   auto entry = FindLanguage(handle.problem);
@@ -539,7 +559,7 @@ Status QueryEngine::Prepare(std::string_view problem,
                             const std::shared_ptr<const std::string>& data,
                             const PreparedStore::Key& key, CostMeter* meter,
                             bool* ran_pi) {
-  if (data == nullptr || key.bytes == nullptr) {
+  if (data == nullptr || key.data == nullptr) {
     return Status::InvalidArgument("Prepare needs a data part and its key");
   }
   auto entry = FindLanguage(problem);

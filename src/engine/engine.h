@@ -91,10 +91,12 @@ struct ProblemEntry {
 };
 
 /// A pre-admitted data part for the Σ*-witness path. `QueryEngine::Intern`
-/// resolves the registry entry and pays the O(|D|) store-key build +
-/// content hash exactly once; every subsequent `AnswerBatch(handle, ...)`
-/// reuses the digest and key bytes, so a warm batch does zero |D|-sized
-/// work end to end (the store re-validates by shared-pointer equality).
+/// resolves the registry entry and pays the O(|D|) content hash exactly
+/// once; the store key shares `data`, so the handle, its key and the
+/// store entry for Π(D) hold one copy of D. Every subsequent
+/// `AnswerBatch(handle, ...)` reuses the digest and key, so a warm batch
+/// does zero |D|-sized work end to end (the store re-validates by
+/// shared-pointer equality).
 /// Handles are immutable values: copy/share them freely across threads.
 /// A handle addresses the data part it was interned for — after an
 /// ApplyDelta, intern the post-delta data part for a new handle.
@@ -245,16 +247,18 @@ class QueryEngine {
                                   const std::string& data,
                                   std::span<const std::string> queries);
 
-  /// Digest-handle admission: computes the content digest and full store
-  /// key for `data` once. Use with the `AnswerBatch(handle, ...)` overload
-  /// (or a `ServeWorkItem::handle`) to strip the per-batch O(|D|) key
-  /// copy + hash from the warm path.
+  /// Digest-handle admission: computes the content digest and the store
+  /// key for `data` once; the key shares the handle's buffer rather than
+  /// copying it. Use with the `AnswerBatch(handle, ...)` overload (or a
+  /// `ServeWorkItem::handle`) to strip the per-batch O(|D|) hash and
+  /// compare from the warm path.
   Result<DataHandle> Intern(std::string_view problem, std::string data) const;
 
   /// One-call admission, the route every string-keyed call takes: a handle
   /// whose `data` *aliases* the caller's bytes (nothing is copied, so they
   /// must outlive the route) and whose key embeds the witness selected for
-  /// this part. Pays the one O(|D|) key build, counted in
+  /// this part and borrows the same bytes. Pays the one O(|D|) digest
+  /// pass, counted in
   /// Stats::key_builds; fingerprints the part only when witness selection
   /// needs it (alternatives registered and a non-primary-only policy).
   Result<DataHandle> Route(std::string_view problem, const std::string& data);
@@ -379,7 +383,7 @@ class QueryEngine {
   /// Find, restricted to entries with a Σ*-level witness.
   Result<const ProblemEntry*> FindLanguage(std::string_view name) const;
   static SelectedWitness CandidateAt(const ProblemEntry& entry, int index);
-  /// Parses the witness name out of a store key's bytes and returns the
+  /// Reads the witness name out of a store key's head and returns the
   /// matching candidate — the only correct way to pick answer hooks for a
   /// key-addressed payload (trusting anything else risks decoding a view
   /// with the wrong type). Unknown names fall back to the primary.

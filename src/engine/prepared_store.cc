@@ -54,26 +54,34 @@ std::string DigestFileName(uint64_t digest) {
 }
 
 /// Serializes one entry in the spill-frame format and writes it under its
-/// digest file name. Shared by the full Spill pass and the single-entry
-/// respill after a Δ-patch.
-Status WriteSpillFile(const std::string& dir, uint64_t digest,
-                      const std::string& key, const std::string& prepared,
-                      size_t size_bytes) {
+/// digest file name. Shared by the full Spill pass, the warm→cold
+/// demotion and the single-entry respill after a Δ-patch.
+Status WriteSpillFile(const std::string& dir, const PreparedStore::Key& key,
+                      const std::string& prepared, size_t size_bytes) {
+  const uint64_t digest = key.digest;
   // v3 frame: [magic u32][version u32][checksum u64][body], where body is
-  // PutBytes(key) + PutBytes(prepared) + PutU64(size_bytes) and the
+  // PutBytes(head + D) + PutBytes(prepared) + PutU64(size_bytes) and the
   // checksum covers exactly the body bytes. The header is validated
   // structurally on Load; everything the store would *serve* is under the
-  // checksum, so bit rot can only ever degrade to recompute-on-miss.
-  std::string body;
-  serde::PutBytes(&body, key);
-  serde::PutBytes(&body, prepared);
-  serde::PutU64(&body, static_cast<uint64_t>(size_bytes));
+  // checksum, so bit rot can only ever degrade to recompute-on-miss. The
+  // frame is the one place the key is concatenated, straight into the one
+  // buffer the file is written from.
+  constexpr size_t kChecksumAt = 8;
+  constexpr size_t kBodyAt = 16;
   std::string framed;
-  framed.reserve(body.size() + 16);
+  framed.reserve(kBodyAt + 8 + key.size() + 8 + prepared.size() + 8);
   serde::PutU32(&framed, kSpillMagic);
   serde::PutU32(&framed, kSpillVersion);
-  serde::PutU64(&framed, serde::Checksum64(body));
-  framed.append(body);
+  serde::PutU64(&framed, 0);  // checksum, filled in once the body is laid
+  serde::PutU64(&framed, static_cast<uint64_t>(key.size()));
+  framed.append(key.head);
+  framed.append(*key.data);
+  serde::PutBytes(&framed, prepared);
+  serde::PutU64(&framed, static_cast<uint64_t>(size_bytes));
+  std::string checksum;
+  serde::PutU64(&checksum, serde::Checksum64(
+                               std::string_view(framed).substr(kBodyAt)));
+  framed.replace(kChecksumAt, checksum.size(), checksum);
   const fs::path path = fs::path(dir) / DigestFileName(digest);
   // Write-then-rename: a concurrent Load never observes a half-written
   // frame under the published name — it either sees the old complete file
@@ -121,27 +129,39 @@ Status WriteSpillFile(const std::string& dir, uint64_t digest,
   return Status::OK();
 }
 
-/// Second, independent 64-bit hash of the key bytes (different offset
-/// basis and fold), guarding the first lineage-resolution hop: a stale
-/// probe mis-resolves only if the foreign key collides in *both* hashes.
-uint64_t AltKeyDigest(std::string_view bytes) {
-  uint64_t hash = 0x9e3779b97f4a7c15ull;
-  const char* p = bytes.data();
-  size_t remaining = bytes.size();
-  while (remaining >= 8) {
+/// The word-at-a-time fold both key hashes share, streamed over `a` then
+/// `b` exactly as over their concatenation: 8 input bytes per multiply
+/// with one shift-xor so all 8 lanes diffuse, byte-at-a-time only for the
+/// tail. The word that straddles the a|b boundary is assembled from both.
+template <uint64_t kBasis, uint64_t kPrime, int kShift>
+uint64_t WordFold(std::string_view a, std::string_view b) {
+  uint64_t hash = kBasis;
+  auto fold = [&hash](const char* p) {
     uint64_t word;
     std::memcpy(&word, p, 8);
     hash ^= word;
-    hash *= 0xff51afd7ed558ccdull;
-    hash ^= hash >> 33;
-    p += 8;
-    remaining -= 8;
+    hash *= kPrime;
+    hash ^= hash >> kShift;
+  };
+  size_t i = 0;
+  for (; i + 8 <= a.size(); i += 8) fold(a.data() + i);
+  char carry[8];
+  const size_t carried = a.size() - i;
+  if (carried > 0) std::memcpy(carry, a.data() + i, carried);
+  const size_t filled = std::min(8 - carried, b.size());
+  if (filled > 0) std::memcpy(carry + carried, b.data(), filled);
+  std::string_view tail(carry, carried + filled);
+  if (tail.size() == 8) {
+    fold(carry);
+    size_t j = filled;
+    for (; j + 8 <= b.size(); j += 8) fold(b.data() + j);
+    tail = b.substr(j);
   }
-  for (; remaining > 0; --remaining) {
-    hash ^= static_cast<unsigned char>(*p++);
-    hash *= 0xff51afd7ed558ccdull;
+  for (const char c : tail) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= kPrime;
   }
-  return hash ^ (hash >> 29);
+  return hash;
 }
 
 /// Options::shards == 0 means "size for the machine": the next power of
@@ -158,28 +178,18 @@ size_t ResolveShards(size_t requested) {
 
 }  // namespace
 
-uint64_t Fnv1a64(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  const char* p = bytes.data();
-  size_t remaining = bytes.size();
-  // Word-at-a-time fold: xor in 8 input bytes per FNV multiply, with one
-  // shift-xor so all 8 lanes diffuse (the canonical byte loop gets that
-  // diffusion from its 8x more multiplies). ~8x fewer operations on the
-  // cold-path hashes of |D|-sized keys.
-  while (remaining >= 8) {
-    uint64_t word;
-    std::memcpy(&word, p, 8);
-    hash ^= word;
-    hash *= 0x100000001b3ull;
-    hash ^= hash >> 29;
-    p += 8;
-    remaining -= 8;
-  }
-  for (; remaining > 0; --remaining) {
-    hash ^= static_cast<unsigned char>(*p++);
-    hash *= 0x100000001b3ull;
-  }
-  return hash;
+uint64_t Fnv1a64(std::string_view bytes) { return Fnv1a64(bytes, {}); }
+
+uint64_t Fnv1a64(std::string_view head, std::string_view data) {
+  // FNV's offset basis and prime over the word fold: ~8x fewer multiplies
+  // than the canonical byte loop on the hashes of |D|-sized keys.
+  return WordFold<0xcbf29ce484222325ull, 0x100000001b3ull, 29>(head, data);
+}
+
+uint64_t AltKeyDigest(std::string_view head, std::string_view data) {
+  const uint64_t hash =
+      WordFold<0x9e3779b97f4a7c15ull, 0xff51afd7ed558ccdull, 33>(head, data);
+  return hash ^ (hash >> 29);
 }
 
 PreparedStore::SnapshotCell::~SnapshotCell() {
@@ -247,48 +257,55 @@ PreparedStore::StatSlot& PreparedStore::LocalStats() const {
   return stat_slots_[slot];
 }
 
-std::string PreparedStore::MakeKey(std::string_view problem,
-                                   std::string_view witness,
-                                   std::string_view data) {
-  // '\x1f' (unit separator) cannot collide with the codec alphabet, so the
-  // concatenation is injective.
-  std::string key;
-  key.reserve(problem.size() + witness.size() + data.size() + 2);
-  key.append(problem);
-  key.push_back('\x1f');
-  key.append(witness);
-  key.push_back('\x1f');
-  key.append(data);
-  return key;
-}
-
 size_t PreparedStore::DefaultSizeBytes(const Entry& entry) const {
-  return (entry.key != nullptr ? entry.key->size() : 0) +
+  // The entry pins D through its key, so it still charges |head| + |D|.
+  return entry.key.size() +
          (entry.prepared != nullptr ? entry.prepared->size() : 0) +
          kEntryOverheadBytes;
+}
+
+PreparedStore::Key PreparedStore::InternKey(
+    std::string_view problem, std::string_view witness,
+    std::shared_ptr<const std::string> data) {
+  // '\x1f' (unit separator) cannot collide with the codec alphabet, and
+  // QueryEngine::Register keeps it out of problem and witness names, so
+  // the head is unambiguous and head + D is injective.
+  Key key;
+  key.head.reserve(problem.size() + witness.size() + 2);
+  key.head.append(problem);
+  key.head.push_back('\x1f');
+  key.head.append(witness);
+  key.head.push_back('\x1f');
+  key.data = std::move(data);
+  key.digest = Fnv1a64(key.head, *key.data);
+  return key;
 }
 
 PreparedStore::Key PreparedStore::InternKey(std::string_view problem,
                                             std::string_view witness,
                                             std::string_view data) {
-  Key key;
-  key.bytes =
-      std::make_shared<const std::string>(MakeKey(problem, witness, data));
-  key.digest = Fnv1a64(*key.bytes);
-  return key;
+  return InternKey(problem, witness, std::make_shared<const std::string>(data));
+}
+
+PreparedStore::Key PreparedStore::OwnedKey(const Key& key) {
+  if (!key.borrowed()) return key;
+  Key owned = key;
+  owned.data = std::make_shared<const std::string>(*key.data);
+  return owned;
 }
 
 Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit) {
+    std::string_view problem, std::string_view witness,
+    const std::string& data, const ComputeFn& compute, CostMeter* meter,
+    bool* hit) {
   return GetOrCompute(problem, witness, data, compute, meter, hit,
                       EntryOptions{});
 }
 
 Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit,
-    const EntryOptions& entry_options) {
+    std::string_view problem, std::string_view witness,
+    const std::string& data, const ComputeFn& compute, CostMeter* meter,
+    bool* hit, const EntryOptions& entry_options) {
   auto view = GetOrComputeView(problem, witness, data, compute, meter, hit,
                                entry_options);
   if (!view.ok()) return view.status();
@@ -296,13 +313,14 @@ Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
-    std::string_view problem, std::string_view witness, std::string_view data,
-    const ComputeFn& compute, CostMeter* meter, bool* hit,
-    const EntryOptions& entry_options) {
-  // The string-keyed admission path pays the O(|D|) copy + hash here, once
-  // per call — exactly what Intern-ed keys amortize away.
+    std::string_view problem, std::string_view witness,
+    const std::string& data, const ComputeFn& compute, CostMeter* meter,
+    bool* hit, const EntryOptions& entry_options) {
+  // The string-keyed admission path pays the O(|D|) hash here, once per
+  // call — exactly what Intern-ed keys amortize away. The key borrows
+  // `data`; only a miss that publishes copies it.
   LocalStats().key_builds.fetch_add(1, std::memory_order_relaxed);
-  return GetOrComputeView(InternKey(problem, witness, data), compute, meter,
+  return GetOrComputeView(BorrowKey(problem, witness, data), compute, meter,
                           hit, entry_options);
 }
 
@@ -354,10 +372,10 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
   std::shared_ptr<const void> serve = built;
   bool accounted = false;
   {
-    Shard& shard = ShardFor(entry->digest);
+    Shard& shard = ShardFor(entry->key.digest);
     std::lock_guard<std::mutex> lock(shard.mutex);
     TableRef table = shard.snapshot.Acquire();
-    auto it = table->find(entry->digest);
+    auto it = table->find(entry->key.digest);
     if (it != table->end() && it->second == entry) {
       if (entry->view_ready.load(std::memory_order_relaxed) != nullptr) {
         serve = entry->view;  // somebody else won the publish race
@@ -411,6 +429,13 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
   return PreparedView{entry->prepared, nullptr};
 }
 
+PreparedStore::Key PreparedStore::BuildKeyCounted(
+    std::string_view problem, std::string_view witness,
+    std::shared_ptr<const std::string> data) const {
+  LocalStats().key_builds.fetch_add(1, std::memory_order_relaxed);
+  return InternKey(problem, witness, std::move(data));
+}
+
 PreparedStore::Key PreparedStore::BuildKeyCounted(std::string_view problem,
                                                   std::string_view witness,
                                                   std::string_view data) const {
@@ -426,7 +451,7 @@ bool PreparedStore::TryGetView(const Key& key,
   {
     TableRef table = shard.snapshot.Acquire();
     auto it = table->find(key.digest);
-    if (it != table->end() && EntryMatches(*it->second, key)) {
+    if (it != table->end() && SameKey(it->second->key, key)) {
       entry = it->second;
     }
   }
@@ -457,7 +482,7 @@ PreparedStore::EntryPtr PreparedStore::ResolveLineage(const Key& key) const {
     std::lock_guard<std::mutex> lock(lineage_mutex_);
     auto it = lineage_.find(key.digest);
     if (it == lineage_.end() ||
-        it->second.alt_digest != AltKeyDigest(*key.bytes)) {
+        it->second.alt_digest != AltKeyDigest(key.head, *key.data)) {
       return nullptr;
     }
     next = it->second.successor;
@@ -498,7 +523,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   {
     TableRef table = shard.snapshot.Acquire();
     auto it = table->find(digest);
-    if (it != table->end() && EntryMatches(*it->second, key)) {
+    if (it != table->end() && SameKey(it->second->key, key)) {
       return ServeHit(it->second, entry_options, meter, hit,
                       /*locked=*/false);
     }
@@ -515,17 +540,17 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     std::lock_guard<std::mutex> lock(shard.mutex);
     TableRef table = shard.snapshot.Acquire();
     auto it = table->find(digest);
-    if (it != table->end() && EntryMatches(*it->second, key)) {
+    if (it != table->end() && SameKey(it->second->key, key)) {
       resident = it->second;
     } else {
-      auto in = shard.inflight.find(*key.bytes);
+      auto in = shard.inflight.find(key);
       if (in != shard.inflight.end()) {
         flight = in->second;
       } else {
         winner = true;
         flight = std::make_shared<Inflight>();
         flight->ready = flight->done.get_future().share();
-        shard.inflight.emplace(*key.bytes, flight);
+        shard.inflight.emplace(key, flight);
         LocalStats().misses.fetch_add(1, std::memory_order_relaxed);
       }
     }
@@ -590,7 +615,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   if (!prepared.ok()) {
     {
       std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.inflight.erase(*key.bytes);
+      shard.inflight.erase(key);
     }
     // Name the failing entry: the winner's status fans out to every
     // waiter on the shared_future and up through pipeline completions,
@@ -604,8 +629,9 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   }
 
   EntryPtr entry = std::make_shared<Entry>();
-  entry->key = key.bytes;
-  entry->digest = digest;
+  // The entry outlives this call, so a borrowed key is copied here — the
+  // one D-sized copy a string-keyed miss pays. A shared key costs nothing.
+  entry->key = OwnedKey(key);
   entry->prepared =
       std::make_shared<const std::string>(std::move(prepared).value());
   // The miss winner builds the decoded view before publishing, so the
@@ -644,7 +670,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
         std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     PublishTable(&shard, std::move(table));
-    shard.inflight.erase(*key.bytes);
+    shard.inflight.erase(key);
   }
   flight->result = result;
   flight->done.set_value();
@@ -654,8 +680,8 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
 
 Status PreparedStore::UpdateData(std::string_view problem,
                                  std::string_view witness,
-                                 std::string_view old_data,
-                                 std::string_view new_data,
+                                 const std::string& old_data,
+                                 const std::string& new_data,
                                  const PatchFn& patch, CostMeter* meter) {
   return UpdateData(problem, witness, old_data, new_data, patch, meter,
                     EntryOptions{});
@@ -663,15 +689,16 @@ Status PreparedStore::UpdateData(std::string_view problem,
 
 Status PreparedStore::UpdateData(std::string_view problem,
                                  std::string_view witness,
-                                 std::string_view old_data,
-                                 std::string_view new_data,
+                                 const std::string& old_data,
+                                 const std::string& new_data,
                                  const PatchFn& patch, CostMeter* meter,
                                  const EntryOptions& entry_options) {
-  // Two O(|D|) key materializations (old + new): deltas are rare next to
-  // answers, so the update path stays string-keyed.
+  // Two O(|D|) digest passes (old + new): deltas are rare next to answers,
+  // so the update path stays string-keyed. Both keys borrow the caller's
+  // bytes; only the published post-delta entry copies new_data to own it.
   LocalStats().key_builds.fetch_add(2, std::memory_order_relaxed);
-  const Key old_key = InternKey(problem, witness, old_data);
-  const Key new_key = InternKey(problem, witness, new_data);
+  const Key old_key = BorrowKey(problem, witness, old_data);
+  const Key new_key = BorrowKey(problem, witness, new_data);
   const uint64_t old_digest = old_key.digest;
   const uint64_t new_digest = new_key.digest;
   const size_t old_index = static_cast<size_t>(old_digest) % shards_.size();
@@ -688,7 +715,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
     {
       Shard& old_shard = shards_[old_index];
       std::lock_guard<std::mutex> lock(old_shard.mutex);
-      auto in = old_shard.inflight.find(*old_key.bytes);
+      auto in = old_shard.inflight.find(old_key);
       if (in != old_shard.inflight.end()) {
         if (attempt > 0) {
           // A *new* miss storm started while we waited out the first.
@@ -706,7 +733,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
       } else {
         TableRef table = old_shard.snapshot.Acquire();
         auto it = table->find(old_digest);
-        if (it == table->end() || !EntryMatches(*it->second, old_key)) {
+        if (it == table->end() || !SameKey(it->second->key, old_key)) {
           LocalStats().patch_fallbacks.fetch_add(1,
                                                  std::memory_order_relaxed);
           return Status::NotFound(
@@ -756,7 +783,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
                                      "): " + status.message());
   }
   EntryPtr fresh = std::make_shared<Entry>();
-  fresh->key = new_key.bytes;
+  fresh->key = OwnedKey(new_key);
   fresh->prepared = std::make_shared<const std::string>(std::move(patched));
   // The pre-patch decoded view must never survive a re-key: rebuild it
   // from the patched payload here (still outside every lock); a failed
@@ -787,7 +814,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
 
     TableRef old_table = old_shard.snapshot.Acquire();
     auto it = old_table->find(old_digest);
-    if (old_shard.inflight.find(*old_key.bytes) != old_shard.inflight.end() ||
+    if (old_shard.inflight.find(old_key) != old_shard.inflight.end() ||
         it == old_table->end() || it->second != old_entry ||
         old_entry->superseded.load(std::memory_order_acquire)) {
       // The slot moved while the patch ran unlocked (evicted, replaced by
@@ -802,7 +829,6 @@ Status PreparedStore::UpdateData(std::string_view problem,
     }
     fresh->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                            std::memory_order_relaxed);
-    fresh->digest = new_digest;
     fresh->version = old_entry->version + 1;
     fresh->predecessor_digest = old_digest;
     fresh->has_predecessor = true;
@@ -884,7 +910,8 @@ Status PreparedStore::UpdateData(std::string_view problem,
       }
     }
     lineage_[old_digest] =
-        LineageRecord{new_digest, AltKeyDigest(*old_key.bytes), lineage_seq_++};
+        LineageRecord{new_digest, AltKeyDigest(old_key.head, *old_key.data),
+                      lineage_seq_++};
   }
 
   if (options_.versions >= 2 && old_digest != new_digest) {
@@ -907,7 +934,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
       if (pred == nullptr ||
           !pred->superseded.load(std::memory_order_acquire) ||
           pred->successor_digest.load(std::memory_order_relaxed) !=
-              cur->digest) {
+              cur->key.digest) {
         break;  // chain end: already trimmed, evicted, or a digest reuse
       }
       if (depth + 1 >= options_.versions) {
@@ -931,16 +958,17 @@ Status PreparedStore::UpdateData(std::string_view problem,
     }
   }
 
-  RespillPatched(old_digest, new_digest, *new_key.bytes, respill_payload,
-                 respill_size, entry_options.spillable);
+  RespillPatched(old_digest, fresh->key, respill_payload, respill_size,
+                 entry_options.spillable);
   EvictUntilWithinBudget();
   return Status::OK();
 }
 
 void PreparedStore::RespillPatched(
-    uint64_t old_digest, uint64_t new_digest, const std::string& key,
+    uint64_t old_digest, const Key& key,
     const std::shared_ptr<const std::string>& prepared, size_t size_bytes,
     bool spillable) const {
+  const uint64_t new_digest = key.digest;
   // spill_dir_mutex_ is held across the whole rewrite so chained patches
   // (v1→v2, v2→v3) cannot interleave their file writes/removes: without
   // this, a lagging v2 write could land after v3's remove of it and a
@@ -955,15 +983,14 @@ void PreparedStore::RespillPatched(
       const Shard& shard = ShardFor(new_digest);
       TableRef table = shard.snapshot.Acquire();
       auto it = table->find(new_digest);
-      still_current = it != table->end() && *it->second->key == key &&
+      still_current = it != table->end() && SameKey(it->second->key, key) &&
                       it->second->prepared == prepared;
     }
     // Only the payload that is still resident gets a file; if a later
     // patch or eviction already moved the entry on, its own respill (or
     // the next full Spill) owns the directory's view of it.
     if (still_current) {
-      Status written = WriteSpillFile(spill_dir_, new_digest, key, *prepared,
-                                      size_bytes);
+      Status written = WriteSpillFile(spill_dir_, key, *prepared, size_bytes);
       if (written.ok()) {
         LocalStats().spilled.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -981,16 +1008,15 @@ void PreparedStore::RespillPatched(
 }
 
 bool PreparedStore::Contains(std::string_view problem, std::string_view witness,
-                             std::string_view data) const {
-  const std::string key = MakeKey(problem, witness, data);
-  const uint64_t digest = Fnv1a64(key);
-  const Shard& shard = ShardFor(digest);
+                             const std::string& data) const {
+  const Key key = BorrowKey(problem, witness, data);
+  const Shard& shard = ShardFor(key.digest);
   TableRef table = shard.snapshot.Acquire();
-  auto it = table->find(digest);
+  auto it = table->find(key.digest);
   // Superseded versions stay digest-addressable for pinned readers but do
   // not count as "the store knows this data part" — a fresh admission for
   // the key must go through the normal miss path.
-  return it != table->end() && *it->second->key == key &&
+  return it != table->end() && SameKey(it->second->key, key) &&
          !it->second->superseded.load(std::memory_order_relaxed);
 }
 
@@ -1045,7 +1071,6 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
   warm->spillable = entry->spillable;
   warm->view_loss_ops = entry->view_loss_ops;
   warm->evict_loss_ops = entry->evict_loss_ops;
-  warm->digest = entry->digest;
   warm->version = entry->version;
   warm->predecessor_digest = entry->predecessor_digest;
   warm->has_predecessor = entry->has_predecessor;
@@ -1202,8 +1227,7 @@ void PreparedStore::EvictUntilWithinBudget() {
     // (replaced, re-keyed, already evicted) is skipped; the outer loop
     // re-checks the budget and rescans if the skips left us over.
     struct ColdDemotion {
-      uint64_t digest;
-      std::shared_ptr<const std::string> key;
+      Key key;
       std::shared_ptr<const std::string> prepared;
       size_t size_bytes;
     };
@@ -1241,8 +1265,8 @@ void PreparedStore::EvictUntilWithinBudget() {
           // the entry simply recomputes on miss — the old frame from an
           // earlier Spill pass (same content-addressed payload) may even
           // still cover it.
-          cold.push_back({victim.digest, victim.entry->key,
-                          victim.entry->prepared, victim.entry->size_bytes});
+          cold.push_back({victim.entry->key, victim.entry->prepared,
+                          victim.entry->size_bytes});
         }
       }
       if (touched) PublishTable(&shard, std::move(table));
@@ -1254,8 +1278,8 @@ void PreparedStore::EvictUntilWithinBudget() {
       if (!spill_dir_.empty()) {
         for (const ColdDemotion& demotion : cold) {
           Status wrote =
-              WriteSpillFile(spill_dir_, demotion.digest, *demotion.key,
-                             *demotion.prepared, demotion.size_bytes);
+              WriteSpillFile(spill_dir_, demotion.key, *demotion.prepared,
+                             demotion.size_bytes);
           if (wrote.ok()) {
             LocalStats().cold_demotions.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -1309,8 +1333,13 @@ bool PreparedStore::TryLoadColdPayload(const Key& key,
   }
   // The full-key guard: a digest collision (file named like our digest
   // but holding a foreign key) degrades to a plain Π run, never to a
-  // wrong structure.
-  if (*stored_key != *key.bytes) return false;
+  // wrong structure. Compared piecewise: the probe key is never joined.
+  const std::string_view stored(*stored_key);
+  if (stored.size() != key.size() ||
+      stored.substr(0, key.head.size()) != key.head ||
+      stored.substr(key.head.size()) != *key.data) {
+    return false;
+  }
   *payload = std::move(prepared).value();
   return true;
 }
@@ -1327,9 +1356,10 @@ Status PreparedStore::Spill(const std::string& dir) const {
   // otherwise write a post-delta file that the sweep below (built from an
   // older residency snapshot) would immediately delete.
   std::lock_guard<std::mutex> dir_lock(spill_dir_mutex_);
+  // Snapshots share each entry's key and payload: the frame writer's
+  // buffer is the pass's only D-sized allocation per entry.
   struct Snapshot {
-    uint64_t digest;
-    std::string key;
+    Key key;
     std::shared_ptr<const std::string> prepared;
     size_t size_bytes;
   };
@@ -1344,8 +1374,7 @@ Status PreparedStore::Spill(const std::string& dir) const {
           entry->superseded.load(std::memory_order_relaxed)) {
         continue;
       }
-      snapshots.push_back({digest, *entry->key, entry->prepared,
-                           entry->size_bytes});
+      snapshots.push_back({entry->key, entry->prepared, entry->size_bytes});
     }
   }
   std::vector<std::string> written;
@@ -1354,8 +1383,8 @@ Status PreparedStore::Spill(const std::string& dir) const {
   int64_t spilled = 0;
   int64_t failures = 0;
   for (const Snapshot& snapshot : snapshots) {
-    Status wrote = WriteSpillFile(dir, snapshot.digest, snapshot.key,
-                                  *snapshot.prepared, snapshot.size_bytes);
+    Status wrote = WriteSpillFile(dir, snapshot.key, *snapshot.prepared,
+                                  snapshot.size_bytes);
     if (!wrote.ok()) {
       // One bad write must not lose the rest of the warm set: keep
       // spilling, count the failure, and report the first error after the
@@ -1368,7 +1397,7 @@ Status PreparedStore::Spill(const std::string& dir) const {
     } else {
       ++spilled;
     }
-    written.push_back(DigestFileName(snapshot.digest));
+    written.push_back(DigestFileName(snapshot.key.digest));
   }
   // Drop stale spill files from earlier spills (entries since evicted or
   // replaced), so the directory always mirrors exactly this snapshot and
@@ -1452,16 +1481,30 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
       continue;
     }
 
+    // The frame carries the joined key `problem \x1f witness \x1f D`;
+    // names hold no separator, so the head ends at the second one. A key
+    // without two separators was never written by Spill.
+    const size_t first = key->find('\x1f');
+    const size_t second = first == std::string::npos
+                              ? std::string::npos
+                              : key->find('\x1f', first + 1);
+    if (second == std::string::npos) {
+      LocalStats().load_corrupt.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
     EntryPtr entry = std::make_shared<Entry>();
-    entry->key = std::make_shared<const std::string>(std::move(key).value());
+    entry->key.head = key->substr(0, second + 1);
+    std::string data = std::move(key).value();
+    data.erase(0, second + 1);  // in place: D is not copied again
+    entry->key.data = std::make_shared<const std::string>(std::move(data));
+    entry->key.digest = Fnv1a64(entry->key.head, *entry->key.data);
     entry->prepared =
         std::make_shared<const std::string>(std::move(prepared).value());
     // Spill files carry only the payload: the decoded view is rebuilt
     // lazily on this entry's first warm hit.
     entry->size_bytes = static_cast<size_t>(*size_bytes);
     entry->spillable = true;
-    const uint64_t digest = Fnv1a64(*entry->key);
-    entry->digest = digest;
+    const uint64_t digest = entry->key.digest;
     Shard& shard = ShardFor(digest);
     bool admitted = false;
     {
@@ -1472,7 +1515,7 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
       Table table = CopyTable(shard);
       auto existing = table.find(digest);
       if (existing != table.end() &&
-          *existing->second->key == *entry->key) {
+          SameKey(existing->second->key, entry->key)) {
         // The resident entry for this exact key wins: it carries the live
         // MVCC lineage metadata and possibly a rebuilt view, while the
         // file is at best an equal payload from an earlier spill. Loading

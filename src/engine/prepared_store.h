@@ -28,6 +28,15 @@ namespace engine {
 /// unobservable; a collision still degrades to a miss via the full-key
 /// guard, never to a wrong structure.
 uint64_t Fnv1a64(std::string_view bytes);
+/// Fnv1a64 of the concatenation `head + data`, streamed over the two parts
+/// without building it (the word that straddles the boundary is folded
+/// exactly as the one-shot pass folds it): a store key's digest.
+uint64_t Fnv1a64(std::string_view head, std::string_view data);
+/// Second, independent 64-bit hash of `head + data` (different offset
+/// basis and fold), streamed the same way. It guards the first
+/// lineage-resolution hop: a stale probe mis-resolves only if a foreign
+/// key collides in *both* hashes.
+uint64_t AltKeyDigest(std::string_view head, std::string_view data);
 
 /// Content-addressed cache of preprocessed structures: a digest of
 /// (problem, witness, data part) maps to Π(D), so repeated queries against
@@ -79,8 +88,9 @@ uint64_t Fnv1a64(std::string_view bytes);
 ///    as non-spillable are skipped by Spill and simply recompute on their
 ///    first post-restart miss.
 ///
-/// Entries keep their full key alongside the digest, so a digest collision
-/// degrades to a cache miss, never to a wrong structure.
+/// Entries keep their full key (head plus a reference to D) alongside the
+/// digest, so a digest collision degrades to a cache miss, never to a
+/// wrong structure.
 class PreparedStore {
  public:
   struct Options {
@@ -140,10 +150,10 @@ class PreparedStore {
     /// in-flight Π still on the old key after the retry, or a failed patch
     /// fn) and left the new data part to recompute-on-miss.
     int64_t patch_fallbacks = 0;
-    /// O(|D|) full-key materializations (copy + hash of the data part) on
-    /// the admission paths. The string-keyed GetOrCompute/UpdateData
-    /// overloads pay one per call; the precomputed-Key overloads pay zero
-    /// — the counter a warm digest-handle batch must leave untouched.
+    /// O(|D|) key digest passes on the counted admission paths. The
+    /// string-keyed GetOrCompute overloads and BuildKeyCounted pay one per
+    /// call and UpdateData two; the precomputed-Key overloads pay zero —
+    /// the counter a warm digest-handle batch must leave untouched.
     int64_t key_builds = 0;
     /// Decoded Π-views built (once per entry under the in-flight-dedup
     /// discipline; again after a Load or a Δ-patch re-key).
@@ -234,22 +244,41 @@ class PreparedStore {
     double evict_loss_ops = 0;
   };
 
-  /// A content-addressed store key, materialized once and reusable across
-  /// any number of batches: the full (problem, witness, data) key bytes
-  /// plus their digest. Entries inserted through a Key share its bytes, so
-  /// a warm hit re-validates by pointer equality — zero O(|D|) copies,
-  /// hashes or compares per batch (the engine's DataHandle wraps this).
+  /// A content-addressed store key: the short head `problem \x1f witness
+  /// \x1f`, the data part D it addresses, and the digest of head + D.
+  /// The key *references* D instead of copying it. `data` either shares
+  /// ownership of D (QueryEngine::Intern hands in the handle's own
+  /// buffer, so handle and entry hold one copy) or is a non-owning alias
+  /// of bytes the caller keeps alive for the call (a *borrowed* key: the
+  /// string-keyed overloads and QueryEngine::Route). The store never
+  /// keeps a borrowed key past the call: publishing an entry from one
+  /// copies D once into storage the entry owns. A warm hit through the
+  /// key an entry was admitted with re-validates by pointer equality —
+  /// zero O(|D|) copies, hashes or compares per batch.
   struct Key {
-    std::shared_ptr<const std::string> bytes;
+    std::string head;
+    std::shared_ptr<const std::string> data;
     uint64_t digest = 0;
+    /// |head| + |D|: the bytes of the concatenated key a spill frame holds.
+    size_t size() const { return head.size() + data->size(); }
+    /// True iff `data` aliases bytes it does not own (a null-control-block
+    /// aliasing shared_ptr).
+    bool borrowed() const { return data != nullptr && data.use_count() == 0; }
   };
-  /// Builds a Key: the one place the O(|D|) copy + hash is paid.
+  /// Builds a Key over `data`, sharing it as given (owning or borrowed):
+  /// the one place the O(|D|) digest pass is paid.
+  static Key InternKey(std::string_view problem, std::string_view witness,
+                       std::shared_ptr<const std::string> data);
+  /// Convenience for keys over bytes nobody shares: copies `data` once
+  /// into storage the key owns.
   static Key InternKey(std::string_view problem, std::string_view witness,
                        std::string_view data);
   /// InternKey plus the Stats::key_builds charge — for callers (e.g.
   /// QueryEngine::Route) that materialize a key outside
   /// the string-keyed GetOrComputeView but must stay visible to the
   /// admission-cost counters.
+  Key BuildKeyCounted(std::string_view problem, std::string_view witness,
+                      std::shared_ptr<const std::string> data) const;
   Key BuildKeyCounted(std::string_view problem, std::string_view witness,
                       std::string_view data) const;
 
@@ -267,11 +296,11 @@ class PreparedStore {
   /// in-flight wait; `hit` (optional) reports whether Π ran in this call.
   Result<std::shared_ptr<const std::string>> GetOrCompute(
       std::string_view problem, std::string_view witness,
-      std::string_view data, const ComputeFn& compute,
+      const std::string& data, const ComputeFn& compute,
       CostMeter* meter = nullptr, bool* hit = nullptr);
   Result<std::shared_ptr<const std::string>> GetOrCompute(
       std::string_view problem, std::string_view witness,
-      std::string_view data, const ComputeFn& compute, CostMeter* meter,
+      const std::string& data, const ComputeFn& compute, CostMeter* meter,
       bool* hit, const EntryOptions& entry_options);
 
   /// GetOrCompute plus the decoded Π-view layer. The view is built at most
@@ -280,10 +309,11 @@ class PreparedStore {
   /// rebuilt lazily on the first hit after a Load (spill files carry only
   /// the payload), rebuilt from the patched payload on an UpdateData
   /// re-key, and dropped with the entry on eviction. String-keyed flavor
-  /// pays the O(|D|) key build (counted in Stats::key_builds)...
+  /// pays the O(|D|) digest pass of a key that borrows `data` (counted in
+  /// Stats::key_builds; a miss copies D once to own it)...
   Result<PreparedView> GetOrComputeView(std::string_view problem,
                                         std::string_view witness,
-                                        std::string_view data,
+                                        const std::string& data,
                                         const ComputeFn& compute,
                                         CostMeter* meter, bool* hit,
                                         const EntryOptions& entry_options);
@@ -315,10 +345,12 @@ class PreparedStore {
   /// True iff an entry for (problem, witness, data) is resident. Lock-free
   /// (probes the published snapshot).
   bool Contains(std::string_view problem, std::string_view witness,
-                std::string_view data) const;
+                const std::string& data) const;
 
   /// Patches Π(old_data) in place so the entry serves (problem, witness,
   /// new_data): the incremental-maintenance path (Section 1's D ⊕ ΔD).
+  /// Both data parts are borrowed for the call; the post-delta entry copies
+  /// `new_data` once to own its key.
   /// `patch` receives a private copy of the resident payload — concurrent
   /// readers keep their consistent pre-delta snapshot through their
   /// shared_ptr — and must leave it equal to Π(new_data). On success the
@@ -339,10 +371,10 @@ class PreparedStore {
   /// and the caller degrades to recompute-on-miss.
   using PatchFn = std::function<Status(std::string* prepared, CostMeter*)>;
   Status UpdateData(std::string_view problem, std::string_view witness,
-                    std::string_view old_data, std::string_view new_data,
+                    const std::string& old_data, const std::string& new_data,
                     const PatchFn& patch, CostMeter* meter = nullptr);
   Status UpdateData(std::string_view problem, std::string_view witness,
-                    std::string_view old_data, std::string_view new_data,
+                    const std::string& old_data, const std::string& new_data,
                     const PatchFn& patch, CostMeter* meter,
                     const EntryOptions& entry_options);
 
@@ -384,14 +416,18 @@ class PreparedStore {
   /// authoritative shard state and every published snapshot that still
   /// references them; all fields a reader may observe after publication
   /// are either immutable (key, prepared, size_bytes, spillable) or
-  /// atomic (view, recency stamp). An UpdateData re-key never mutates an
+  /// atomic (view, recency stamp). `key.digest` is the digest the entry is
+  /// resident under. An UpdateData re-key never mutates an
   /// Entry's payload — it publishes a *new* Entry, so readers holding the
   /// old shared_ptr keep a consistent pre-delta structure.
   struct Entry {
     /// Full (problem, witness, data) key — the digest-collision guard.
-    /// Shared so entries admitted through a Key alias its bytes and warm
-    /// re-validation short-circuits on pointer equality.
-    std::shared_ptr<const std::string> key;
+    /// Always owning. It shares D with the Key it was admitted through
+    /// when that key owned D, so warm re-validation short-circuits on
+    /// pointer equality. Hit-path repairs (RebuildViewLazily) find the
+    /// entry's own shard through `key.digest`, even when it was served
+    /// through a lineage resolution of a different probe digest.
+    Key key;
     std::shared_ptr<const std::string> prepared;
     /// Memoized decoded view of `prepared`. Write-once: set either before
     /// the entry is published (miss winner, Δ-patch) or exactly once
@@ -435,10 +471,6 @@ class PreparedStore {
     double view_loss_ops = 0;
     double evict_loss_ops = 0;
     // --- MVCC lineage ------------------------------------------------------
-    /// The digest this entry is resident under. Lets hit-path repairs
-    /// (RebuildViewLazily) find the entry's own shard even when it was
-    /// served through a lineage resolution of a different probe digest.
-    uint64_t digest = 0;
     /// Version ordinal within its lineage (0 for a fresh Π, +1 per
     /// UpdateData re-key) and the back-link the resolver verifies.
     uint64_t version = 0;
@@ -538,6 +570,17 @@ class PreparedStore {
   /// One rendezvous point per in-flight Π run. The winner fills `result`
   /// and then releases `ready`; promise/future ordering makes the write
   /// visible to every waiter.
+  struct KeyDigestHash {
+    size_t operator()(const Key& key) const {
+      return static_cast<size_t>(key.digest);
+    }
+  };
+  struct SameKeyEq {
+    bool operator()(const Key& a, const Key& b) const {
+      return a.digest == b.digest && SameKey(a, b);
+    }
+  };
+
   struct Inflight {
     std::promise<void> done;
     std::shared_future<void> ready;
@@ -552,7 +595,10 @@ class PreparedStore {
     /// section this is the authoritative state — every mutation publishes
     /// its successor table before releasing `mutex`.
     SnapshotCell snapshot;
-    std::unordered_map<std::string, std::shared_ptr<Inflight>> inflight;
+    /// In-flight Π runs by key. A borrowed key is safe here: the winner
+    /// erases its slot before its call returns.
+    std::unordered_map<Key, std::shared_ptr<Inflight>, KeyDigestHash, SameKeyEq>
+        inflight;
   };
 
   /// Per-thread stats slots: each thread hashes to one cache-line-sized
@@ -581,12 +627,20 @@ class PreparedStore {
   };
   static constexpr size_t kStatSlots = 16;  // power of two
 
-  static std::string MakeKey(std::string_view problem, std::string_view witness,
-                             std::string_view data);
+  /// A key that borrows `data` for the duration of one store call.
+  static Key BorrowKey(std::string_view problem, std::string_view witness,
+                       const std::string& data) {
+    return InternKey(problem, witness,
+                     std::shared_ptr<const std::string>(
+                         std::shared_ptr<const void>(), &data));
+  }
+  /// `key` itself when it owns D, else a copy that owns D: the one
+  /// D-sized copy a borrowed key costs, paid only when an entry keeps it.
+  static Key OwnedKey(const Key& key);
   /// Collision-guard check: pointer equality first (the warm handle path),
   /// byte equality as the fallback for keys built independently.
-  static bool EntryMatches(const Entry& entry, const Key& key) {
-    return entry.key == key.bytes || *entry.key == *key.bytes;
+  static bool SameKey(const Key& a, const Key& b) {
+    return (a.data == b.data || *a.data == *b.data) && a.head == b.head;
   }
   Shard& ShardFor(uint64_t digest) {
     return shards_[digest % shards_.size()];
@@ -681,8 +735,7 @@ class PreparedStore {
   /// Best-effort spill-directory maintenance after a successful patch:
   /// rewrites the patched entry's file under its new digest and drops the
   /// old digest's file, so Load never resurrects the pre-delta Π(D).
-  void RespillPatched(uint64_t old_digest, uint64_t new_digest,
-                      const std::string& key,
+  void RespillPatched(uint64_t old_digest, const Key& key,
                       const std::shared_ptr<const std::string>& prepared,
                       size_t size_bytes, bool spillable) const;
 

@@ -96,6 +96,50 @@ TEST(EngineRegistryTest, UnknownAndDuplicateNamesAreRejected) {
             StatusCode::kAlreadyExists);
 }
 
+TEST(EngineRegistryTest, NamesHoldingTheKeySeparatorAreRejected) {
+  // Store keys are `problem \x1f witness \x1f D`. Were a separator allowed
+  // inside a name, problem "x\x1fy" with witness "z" and problem "x" with
+  // witness "y\x1fz" would key the same data part to the same bytes, and
+  // the second would be served the first's Π(D) without running its own.
+  auto member_entry = [](std::string name, std::string witness) {
+    ProblemEntry entry;
+    entry.name = std::move(name);
+    entry.has_language = true;
+    entry.problem = core::ListMembershipProblem();
+    entry.factorization = core::MemberFactorization();
+    entry.witness = core::MemberWitness();
+    entry.witness.name = std::move(witness);
+    return entry;
+  };
+  QueryEngine engine;
+  EXPECT_EQ(engine.Register(member_entry("x\x1fy", "z")).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Register(member_entry("x", "y\x1fz")).code(),
+            StatusCode::kInvalidArgument);
+  ProblemEntry with_alternative = member_entry("x", "y");
+  WitnessAlternative alt;
+  alt.witness = core::MemberWitness();
+  alt.witness.name = "alt\x1f";
+  with_alternative.alternatives.push_back(std::move(alt));
+  EXPECT_EQ(engine.Register(std::move(with_alternative)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(engine.Names().empty());
+
+  // Separator-free names register and key distinct entries per problem.
+  ASSERT_TRUE(engine.Register(member_entry("x", "y")).ok());
+  ASSERT_TRUE(engine.Register(member_entry("x-y", "z")).ok());
+  const std::string data = core::MemberFactorization()
+                               .pi1(core::MakeMemberInstance(64, {1, 5, 9}, 0))
+                               .value();
+  const std::vector<std::string> queries = {"5", "6"};
+  for (const char* problem : {"x", "x-y"}) {
+    auto batch = engine.AnswerBatch(problem, data, queries);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->prepare_runs, 1) << problem;
+    EXPECT_EQ(batch->answers, (std::vector<bool>{true, false})) << problem;
+  }
+}
+
 TEST(EngineRegistryTest, ReductionRegistrationChecksTargetFactorization) {
   auto engine = MakeEngine();
   // member<=conn targets Y_conn; pointing it at a Y_BDS entry must fail.

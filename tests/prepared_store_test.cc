@@ -1468,6 +1468,99 @@ TEST(PreparedStoreKeyTest, WordAtATimeDigestIsStableAndDiscriminating) {
   }
 }
 
+TEST(PreparedStoreKeyTest, StreamedKeyDigestsMatchTheConcatenation) {
+  // A key is hashed as head then D without joining them; the digests must
+  // equal the one-shot hashes of the joined bytes (spill file names and
+  // lineage records depend on it), for every split of the straddling word.
+  Rng rng(77);
+  auto random_bytes = [&rng](size_t n) {
+    std::string bytes(n, '\0');
+    for (char& c : bytes) c = static_cast<char>(rng.NextBelow(256));
+    return bytes;
+  };
+  for (size_t head_len = 0; head_len <= 17; ++head_len) {
+    for (size_t data_len = 0; data_len <= 17; ++data_len) {
+      const std::string head = random_bytes(head_len);
+      const std::string data = random_bytes(data_len);
+      const std::string joined = head + data;
+      SCOPED_TRACE("head " + std::to_string(head_len) + ", data " +
+                   std::to_string(data_len));
+      EXPECT_EQ(Fnv1a64(head, data), Fnv1a64(joined));
+      EXPECT_EQ(AltKeyDigest(head, data), AltKeyDigest(joined, ""));
+      EXPECT_EQ(AltKeyDigest(head, data), AltKeyDigest("", joined));
+    }
+  }
+  std::vector<int64_t> list;
+  for (int i = 0; i < (1 << 16); ++i) {
+    list.push_back(static_cast<int64_t>(rng.NextBelow(1 << 20)));
+  }
+  const std::string member =
+      core::MemberFactorization()
+          .pi1(core::MakeMemberInstance(1 << 20, list, 0))
+          .value();
+  ASSERT_GT(member.size(), size_t{1} << 16);
+  for (const char* witness : {"", "w", "sorted-column", "bptree-view"}) {
+    const auto key = PreparedStore::InternKey("list-membership", witness,
+                                              member);
+    const std::string joined = key.head + member;
+    EXPECT_EQ(key.head,
+              std::string("list-membership\x1f") + witness + "\x1f");
+    EXPECT_EQ(key.digest, Fnv1a64(joined)) << witness;
+    EXPECT_EQ(AltKeyDigest(key.head, member), AltKeyDigest(joined, ""))
+        << witness;
+  }
+}
+
+TEST(PreparedStoreKeyTest, BorrowedKeysNeverOutliveTheirCall) {
+  // String-keyed calls borrow the caller's bytes. The entry a miss
+  // publishes must own a copy: the caller's string dies right after the
+  // call, and its heap block is reused below (ASan flags any later read).
+  PreparedStore store;
+  int runs = 0;
+  auto compute = [&runs](CostMeter*) -> Result<std::string> {
+    ++runs;
+    return std::string("pi-of-d");
+  };
+  auto make_data = [] { return std::string(4096, 'd') + "-tail"; };
+  {
+    const std::string temporary = make_data();
+    bool hit = true;
+    auto cold = store.GetOrCompute("p", "w", temporary, compute, nullptr,
+                                   &hit);
+    ASSERT_TRUE(cold.ok());
+    EXPECT_FALSE(hit);
+  }
+  {
+    std::string scribble(4096 + 5, 'x');  // likely the freed block
+    EXPECT_FALSE(store.Contains("p", "w", scribble));
+  }
+  bool hit = false;
+  auto warm = store.GetOrCompute("p", "w", make_data(), compute, nullptr,
+                                 &hit);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(**warm, "pi-of-d");
+  EXPECT_TRUE(store.Contains("p", "w", make_data()));
+
+  // The spilled frame carries the joined key; Load splits it back apart
+  // and an equal fresh string still hits without running Π.
+  const std::string dir = UniqueTempDir("borrowed");
+  ASSERT_TRUE(store.Spill(dir).ok());
+  store.Clear();
+  auto loaded = store.Load(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 1u);
+  hit = false;
+  auto reloaded = store.GetOrCompute("p", "w", make_data(), compute, nullptr,
+                                     &hit);
+  ASSERT_TRUE(reloaded.ok());
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(**reloaded, "pi-of-d");
+  EXPECT_FALSE(store.Contains("p", "w", make_data() + "!"));
+  EXPECT_EQ(runs, 1);
+  fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------------
 // Lock-free warm hits: the snapshot read path and its proof counters.
 // ---------------------------------------------------------------------------

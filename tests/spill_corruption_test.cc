@@ -316,6 +316,49 @@ TEST(SpillCorruptionTest, CorruptFramesDegradeToRecomputeWithCorrectAnswers) {
   }
 }
 
+/// `frame` with its key replaced by `key`, re-checksummed: a frame that
+/// passes the frame layer and carries exactly the key under test.
+std::string WithKey(const std::string& frame, const std::string& key) {
+  const FrameOffsets offsets = OffsetsOf(frame);
+  std::string body;
+  serde::PutBytes(&body, key);
+  body.append(frame, offsets.payload_length);  // payload frame + size u64
+  std::string framed = frame.substr(0, offsets.checksum);
+  serde::PutU64(&framed, serde::Checksum64(body));
+  return framed + body;
+}
+
+TEST(SpillCorruptionTest, FrameKeyWithoutBothSeparatorsIsCorrupt) {
+  // Load splits a frame's key `problem \x1f witness \x1f D` at its second
+  // separator. A checksum-valid frame whose key has fewer than two was
+  // never written by Spill: it is counted corrupt, never admitted.
+  const std::vector<WitnessCase> cases = BuildWitnessCases();
+  const WitnessCase& member = cases.front();
+  ASSERT_EQ(member.problem, "list-membership");
+  const FrameOffsets offsets = OffsetsOf(member.frame);
+  const std::string key = member.frame.substr(
+      offsets.key_bytes, offsets.payload_length - offsets.key_bytes);
+  ASSERT_EQ(WithKey(member.frame, key), member.frame);
+  const size_t first = key.find('\x1f');
+  ASSERT_NE(first, std::string::npos);
+  for (const std::string& bad :
+       {std::string(), std::string("list-membership"),
+        key.substr(0, first + 1), key.substr(0, first) + key.substr(first + 1),
+        std::string("\x1f")}) {
+    ExpectRejected(WithKey(member.frame, bad), /*expect_corrupt=*/true,
+                   "key of " + std::to_string(bad.size()) + " bytes");
+  }
+  // Two separators and nothing else is a well-formed (if odd) key.
+  const std::string dir = UniqueTempDir("bare_key");
+  WriteFrame(dir, WithKey(member.frame, "\x1f\x1f"));
+  PreparedStore store;
+  auto loaded = store.Load(dir);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(*loaded, 1u);
+  EXPECT_EQ(store.stats().load_corrupt, 0);
+  fs::remove_all(dir);
+}
+
 TEST(SpillCorruptionTest, ClosureRowBitPastNodeCountIsRejected) {
   // A frame re-checksummed after tampering (or one whose damage collides
   // with the checksum) passes the frame layer, so the closure image itself
