@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/cost_meter.h"
+#include "common/heap_bytes.h"
 #include "common/result.h"
 
 namespace pitract {
@@ -86,6 +87,10 @@ class Circuit {
 
   /// Level depth: 1 + max over paths of gate count (leaves are level 0).
   int64_t Depth() const;
+
+  /// Heap bytes of the gate array, allocator chunks included (the Circuit
+  /// object itself is its holder's to count).
+  size_t HeapBytes() const { return VectorHeapBytes(gates_); }
 
   /// Σ*-encoding of ᾱ (gate tuples + output id). Round-trips via Decode.
   std::string Encode() const;

@@ -153,10 +153,14 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
   }
 }
 
-std::string EncodeInts(const std::vector<int64_t>& values) {
-  // Chunk c holds values [begin(c), begin(c + 1)), each printed with the
-  // ',' before it (none before the first): its text is sized exactly,
-  // a prefix sum places it, and to_chars writes straight into place.
+namespace {
+
+/// EncodeInts' two passes: chunk c holds values [begin(c), begin(c + 1)),
+/// each printed with the ',' before it (none before the first). Its text
+/// is sized exactly, a prefix sum places it, `place(total)` hands back
+/// where the whole text goes, and to_chars writes straight into place.
+template <typename Place>
+void PrintInts(const std::vector<int64_t>& values, Place place) {
   const size_t n = values.size();
   const size_t chunks = parallel::ChunksFor(n);
   auto begin = [n, chunks](size_t c) { return c * n / chunks; };
@@ -170,16 +174,34 @@ std::string EncodeInts(const std::vector<int64_t>& values) {
     offset[c + 1] = size;
   });
   for (size_t c = 0; c < chunks; ++c) offset[c + 1] += offset[c];
-  std::string out(offset[chunks], '\0');
+  char* const text = place(offset[chunks]);
   parallel::Run(chunks, [&](size_t c) {
-    char* p = out.data() + offset[c];
-    char* const end = out.data() + offset[c + 1];
+    char* p = text + offset[c];
+    char* const end = text + offset[c + 1];
     for (size_t i = begin(c), last = begin(c + 1); i < last; ++i) {
       if (i > 0) *p++ = ',';
       p = std::to_chars(p, end, v[i]).ptr;
     }
   });
+}
+
+}  // namespace
+
+std::string EncodeInts(const std::vector<int64_t>& values) {
+  std::string out;
+  PrintInts(values, [&out](size_t size) {
+    out = std::string(size, '\0');  // exact capacity
+    return out.data();
+  });
   return out;
+}
+
+void AppendInts(const std::vector<int64_t>& values, std::string* out) {
+  PrintInts(values, [out](size_t size) {
+    const size_t base = out->size();
+    out->resize(base + size);
+    return out->data() + base;
+  });
 }
 
 Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {

@@ -49,6 +49,9 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
 /// parallel::kGrain values the sizing and printing passes run in chunks on
 /// the fork-join pool; the bytes are the same either way.
 std::string EncodeInts(const std::vector<int64_t>& values);
+/// EncodeInts appended to `*out` in place: the text lands straight in the
+/// caller's buffer (a spill frame, a Δ-patch copy) with no temporary.
+void AppendInts(const std::vector<int64_t>& values, std::string* out);
 
 /// Inverse of EncodeInts. Fails on malformed numerals. Above
 /// parallel::kGrain bytes the text is cut at commas and the chunks are

@@ -38,7 +38,11 @@ PiWitness ApplyRewriting(const QueryRewriter& rewriter,
   };
   // The decoded view is a property of Π(D) alone, so it survives query
   // rewriting unchanged; only the query side maps through λ.
-  if (base.has_view()) w.deserialize = base.deserialize;
+  if (base.has_view()) {
+    w.deserialize = base.deserialize;
+    w.encode_view = base.encode_view;
+    w.view_bytes = base.view_bytes;
+  }
   if (base.answer_view) {
     auto answer_view = base.answer_view;
     w.answer_view = [lambda, answer_view](const void* view,

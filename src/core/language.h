@@ -109,6 +109,17 @@ struct PiWitness {
   std::function<Result<PiViewPtr>(
       const std::shared_ptr<const std::string>& preprocessed, CostMeter*)>
       deserialize;
+  /// Optional inverse of `deserialize`: appends to `out` the exact Σ*
+  /// payload the view was decoded from. Contract: for every payload p
+  /// this witness's Π (or its Δ-patch) produces,
+  /// encode_view(deserialize(p)) == p byte for byte. A store holding such
+  /// a view keeps only the view and encodes the payload when it is asked
+  /// for (the string `answer`, a spill frame, a Δ-patch).
+  std::function<Status(const void* view, std::string* out)> encode_view;
+  /// Optional heap footprint of a view `deserialize` built, in bytes
+  /// (0 for a view that aliases the payload). Unset: a store charges the
+  /// view |Π(D)| bytes as a proxy.
+  std::function<size_t(const void* view)> view_bytes;
 
   /// Batch face over the view.
   ///

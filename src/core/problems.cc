@@ -9,6 +9,7 @@
 #include "bds/bds.h"
 #include "circuit/transforms.h"
 #include "common/codec.h"
+#include "common/heap_bytes.h"
 #include "common/parallel.h"
 #include "graph/algos.h"
 #include "ncsim/ncsim.h"
@@ -42,6 +43,22 @@ Result<PiViewPtr> DeserializeIntListView(
 
 const std::vector<int64_t>& IntListViewOf(const void* view) {
   return *static_cast<const std::vector<int64_t>*>(view);
+}
+
+/// encode_view for the int-list views: the member, connectivity, BDS and
+/// interval Π (and the member Δ-patch) all write their payload with
+/// codec::EncodeInts, so re-encoding the decoded vector reproduces it
+/// byte for byte.
+Status EncodeIntListView(const void* view, std::string* out) {
+  codec::AppendInts(IntListViewOf(view), out);
+  return Status::OK();
+}
+
+/// view_bytes for the int-list views: the make_shared block plus the
+/// vector's buffer.
+size_t IntListViewBytes(const void* view) {
+  return MakeSharedHeapBytes<std::vector<int64_t>>() +
+         VectorHeapBytes(IntListViewOf(view));
 }
 
 // ---------------------------------------------------------------------------
@@ -377,6 +394,8 @@ PiWitness MemberWitness() {
   // their elements and run branchless lower_bound probes over it, one
   // charge per batch — no O(|Π(D)|) re-decode.
   w.deserialize = DeserializeIntListView;
+  w.encode_view = EncodeIntListView;
+  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -431,6 +450,8 @@ PiWitness ConnWitness() {
   // Decoded view: the component-label array — a warm query is two O(1)
   // label probes, gathered contiguously with branchless range checks.
   w.deserialize = DeserializeIntListView;
+  w.encode_view = EncodeIntListView;
+  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntPairQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -483,6 +504,8 @@ PiWitness BdsWitness() {
   // query is two contiguous rank gathers, charged as the same two binary
   // searches, without re-decoding M.
   w.deserialize = DeserializeIntListView;
+  w.encode_view = EncodeIntListView;
+  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntPairQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -532,6 +555,8 @@ PiWitness GvpWitness() {
                      CostMeter*) -> Result<PiViewPtr> {
     return PiViewPtr(prepared, static_cast<const void*>(prepared.get()));
   };
+  // The alias holds no bytes of its own: dropping it frees nothing.
+  w.view_bytes = [](const void*) -> size_t { return 0; };
   // Batch face: branchless byte probes over the gate-value bitmap.
   w.decode_query = DecodeIntQueryHook;
   w.answer_view_batch = [](const void* view,
@@ -813,6 +838,8 @@ PiWitness IntervalWitness() {
   // (predicate-selection) pre-decode through the same rewriter chain, so
   // the kernel only ever sees normalized [lo, hi] pairs.
   w.deserialize = DeserializeIntListView;
+  w.encode_view = EncodeIntListView;
+  w.view_bytes = IntListViewBytes;
   w.decode_query = [](const std::string& query, DecodedQuery* out,
                       std::vector<int64_t>* scratch) -> Status {
     std::vector<int64_t> local;

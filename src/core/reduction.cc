@@ -128,8 +128,13 @@ PiWitness Transport(const NcFactorReduction& r, const PiWitness& w2) {
     return answer2(prepared, *mapped, meter);
   };
   // The prepared structure is the target's Π(α(D)), so the target's
-  // decoded view transports verbatim; only the query side maps through β.
-  if (w2.has_view()) w1.deserialize = w2.deserialize;
+  // decoded view (and its encoder and footprint) transports verbatim;
+  // only the query side maps through β.
+  if (w2.has_view()) {
+    w1.deserialize = w2.deserialize;
+    w1.encode_view = w2.encode_view;
+    w1.view_bytes = w2.view_bytes;
+  }
   if (w2.answer_view) {
     auto answer_view2 = w2.answer_view;
     w1.answer_view = [beta, answer_view2](const void* view,

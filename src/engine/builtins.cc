@@ -7,6 +7,7 @@
 
 #include "circuit/circuit.h"
 #include "common/codec.h"
+#include "common/heap_bytes.h"
 #include "core/problems.h"
 #include "engine/delta_hooks.h"
 
@@ -69,6 +70,10 @@ core::PiWitness CircuitEvalWitness() {
     if (!c.ok()) return c.status();
     return core::PiViewPtr(
         std::make_shared<circuit::Circuit>(std::move(*c)));
+  };
+  w.view_bytes = [](const void* view) {
+    return MakeSharedHeapBytes<circuit::Circuit>() +
+           static_cast<const circuit::Circuit*>(view)->HeapBytes();
   };
   w.answer_view = [](const void* view, const std::string& query,
                      CostMeter* meter) -> Result<bool> {

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/heap_bytes.h"
 #include "core/problems.h"
 #include "graph/graph.h"
 #include "incremental/delta_index.h"
@@ -140,6 +141,13 @@ core::PiWitness MemberBptreeWitness() {
     PITRACT_RETURN_IF_ERROR(tree->BulkLoad(entries));
     return core::PiViewPtr(std::move(tree));
   };
+  // The tree is not the int-list view MemberWitness encodes back: the
+  // entry keeps its payload.
+  w.encode_view = nullptr;
+  w.view_bytes = [](const void* view) {
+    return MakeSharedHeapBytes<index::BPlusTree>() +
+           static_cast<const index::BPlusTree*>(view)->HeapBytes();
+  };
   // No branchless kernel over a node-linked tree: a batch runs one charged
   // descent per query (the honest cost of this candidate).
   w.answer_view_batch = [](const void* view,
@@ -219,6 +227,11 @@ core::PiWitness ReachClosureWitness() {
     return core::PiViewPtr(
         std::make_shared<incremental::IncrementalTransitiveClosure>(
             std::move(*tc)));
+  };
+  w.view_bytes = [](const void* view) {
+    return MakeSharedHeapBytes<incremental::IncrementalTransitiveClosure>() +
+           static_cast<const incremental::IncrementalTransitiveClosure*>(view)
+               ->HeapBytes();
   };
   w.decode_query = DecodeReachQuery;
   w.answer_view_batch = [](const void* view,
@@ -362,6 +375,10 @@ core::PiWitness ReachEdgeScanWitness() {
     auto g = DecodeDirectedGraphDataPart(*prepared);
     if (!g.ok()) return g.status();
     return core::PiViewPtr(std::make_shared<graph::Graph>(std::move(*g)));
+  };
+  w.view_bytes = [](const void* view) {
+    return MakeSharedHeapBytes<graph::Graph>() +
+           static_cast<const graph::Graph*>(view)->HeapBytes();
   };
   w.decode_query = DecodeReachQuery;
   // No branchless kernel: each BFS is inherently per-query work, so a

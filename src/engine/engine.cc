@@ -37,17 +37,22 @@ Result<BatchResult> RunBatch(BatchPath* path) {
 namespace {
 
 /// The store-entry knobs one witness candidate supplies for its Π(D)
-/// payloads: the decoded-view builder when the witness carries one, plus
-/// the tiering layer's expected-loss estimates sized from the candidate's
-/// cost descriptor (view loss ≈ the decode the store would re-pay, evict
-/// loss ≈ the Π rebuild).
+/// payloads: the decoded-view hooks when the witness carries a view (with
+/// an encoder, its entries are held view-first), plus the tiering layer's
+/// expected-loss estimates sized from the candidate's cost descriptor
+/// (view loss ≈ the decode the store would re-pay, evict loss ≈ the Π
+/// rebuild).
 PreparedStore::EntryOptions MakeEntryOptions(
     const core::PiWitness& witness, const PreparedStore::SizeFn* size_of,
     bool spillable, const CostDescriptor* descriptor, size_t data_bytes) {
   PreparedStore::EntryOptions options;
   if (size_of != nullptr && *size_of) options.size_of = *size_of;
   options.spillable = spillable;
-  if (witness.has_view()) options.make_view = witness.deserialize;
+  if (witness.has_view()) {
+    options.make_view = witness.deserialize;
+    options.encode_view = witness.encode_view;
+    options.view_bytes = witness.view_bytes;
+  }
   if (descriptor != nullptr) {
     options.evict_loss_ops = descriptor->BuildOps(data_bytes);
     options.view_loss_ops = descriptor->Bytes(data_bytes);
@@ -78,18 +83,17 @@ class WitnessBatchPath : public BatchPath {
   /// entry's PreparedView from the published snapshot, so Prepare charges
   /// the probe op and serves it — no second store lookup, no second hit
   /// counted.
-  WitnessBatchPath(const core::PiWitness& witness,
+  WitnessBatchPath(const core::PiWitness& witness, PreparedStore* store,
                    PreparedStore::PreparedView prefetched,
                    std::span<const std::string> queries)
       : witness_(witness),
+        store_(store),
         queries_(queries),
-        prefetched_(std::move(prefetched)),
+        served_(std::move(prefetched)),
         have_prefetched_(true) {}
 
   Result<PrepareOutcome> Prepare(CostMeter* meter) override {
     if (have_prefetched_) {
-      prepared_ = std::move(prefetched_.prepared);
-      view_ = std::move(prefetched_.view);
       // Parity with a served snapshot hit: ServeHit already counted the
       // store-side hit when the caller probed; the batch still charges
       // the one probe op so warm prepare_cost matches the blocking path.
@@ -110,20 +114,22 @@ class WitnessBatchPath : public BatchPath {
       }
       return built;
     };
-    auto prepared = store_->GetOrComputeView(handle_->key, compute, meter,
-                                             &hit, entry_options_);
-    if (!prepared.ok()) return prepared.status();
-    prepared_ = std::move(prepared->prepared);
-    view_ = std::move(prepared->view);
+    PITRACT_ASSIGN_OR_RETURN(
+        served_, store_->GetOrComputeView(handle_->key, compute, meter, &hit,
+                                          entry_options_));
     return PrepareOutcome{/*ran_pi=*/!hit, /*cache_hit=*/hit};
   }
 
   Result<bool> AnswerOne(int qi, CostMeter* meter) override {
     const std::string& query = queries_[static_cast<size_t>(qi)];
-    if (view_ != nullptr && witness_.answer_view) {
-      return witness_.answer_view(view_.get(), query, meter);
+    if (served_.view != nullptr && witness_.answer_view) {
+      return witness_.answer_view(served_.view.get(), query, meter);
     }
-    return witness_.answer(*prepared_, query, meter);
+    if (served_.prepared == nullptr) {
+      // A view-first entry: the string path memoizes its payload once.
+      PITRACT_ASSIGN_OR_RETURN(served_.prepared, store_->Payload(served_));
+    }
+    return witness_.answer(*served_.prepared, query, meter);
   }
 
   /// Amortized batch path: every query of the batch is decoded exactly
@@ -132,7 +138,7 @@ class WitnessBatchPath : public BatchPath {
   Result<bool> TryAnswerAll(std::vector<bool>* answers, BatchAnswerMode* mode,
                             CostMeter* meter) override {
     const core::PiWitness& w = witness_;
-    if (view_ == nullptr || !w.has_batch_kernel()) return false;
+    if (served_.view == nullptr || !w.has_batch_kernel()) return false;
 
     const size_t n = queries_.size();
     decoded_.resize(n);
@@ -146,7 +152,8 @@ class WitnessBatchPath : public BatchPath {
     }
     raw_answers_.resize(n);
     PITRACT_RETURN_IF_ERROR(w.answer_view_batch(
-        view_.get(), decoded_, std::span<uint8_t>(raw_answers_), meter));
+        served_.view.get(), decoded_, std::span<uint8_t>(raw_answers_),
+        meter));
     answers->assign(raw_answers_.begin(), raw_answers_.end());
     *mode = BatchAnswerMode::kKernel;
     return true;
@@ -163,10 +170,8 @@ class WitnessBatchPath : public BatchPath {
   PreparedStore* store_ = nullptr;
   const DataHandle* handle_ = nullptr;
   std::span<const std::string> queries_;
-  PreparedStore::PreparedView prefetched_;
+  PreparedStore::PreparedView served_;
   bool have_prefetched_ = false;
-  std::shared_ptr<const std::string> prepared_;
-  std::shared_ptr<const void> view_;
   // Per-batch scratch (decoded queries, int64 decode buffer, kernel 0/1
   // output) — sized once per batch, reused across its queries.
   std::vector<core::DecodedQuery> decoded_;
@@ -545,7 +550,7 @@ Result<bool> QueryEngine::TryAnswerWarm(const DataHandle& handle,
                          nullptr, &view)) {
     return false;  // cold: the caller parks the batch and prepares off-path
   }
-  WitnessBatchPath path(*sel.witness, std::move(view), queries);
+  WitnessBatchPath path(*sel.witness, &store_, std::move(view), queries);
   auto answered = RunBatch(&path);
   if (!answered.ok()) return answered.status();
   NoteAnswered(**entry, sel, handle.part_fingerprint,

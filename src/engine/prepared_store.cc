@@ -53,35 +53,18 @@ std::string DigestFileName(uint64_t digest) {
   return name + kSpillExtension;
 }
 
-/// Serializes one entry in the spill-frame format and writes it under its
+constexpr size_t kFrameChecksumAt = 8;
+constexpr size_t kFrameBodyAt = 16;
+
+/// Patches the checksum into a laid-out spill frame and writes it under its
 /// digest file name. Shared by the full Spill pass, the warm→cold
 /// demotion and the single-entry respill after a Δ-patch.
-Status WriteSpillFile(const std::string& dir, const PreparedStore::Key& key,
-                      const std::string& prepared, size_t size_bytes) {
-  const uint64_t digest = key.digest;
-  // v3 frame: [magic u32][version u32][checksum u64][body], where body is
-  // PutBytes(head + D) + PutBytes(prepared) + PutU64(size_bytes) and the
-  // checksum covers exactly the body bytes. The header is validated
-  // structurally on Load; everything the store would *serve* is under the
-  // checksum, so bit rot can only ever degrade to recompute-on-miss. The
-  // frame is the one place the key is concatenated, straight into the one
-  // buffer the file is written from.
-  constexpr size_t kChecksumAt = 8;
-  constexpr size_t kBodyAt = 16;
-  std::string framed;
-  framed.reserve(kBodyAt + 8 + key.size() + 8 + prepared.size() + 8);
-  serde::PutU32(&framed, kSpillMagic);
-  serde::PutU32(&framed, kSpillVersion);
-  serde::PutU64(&framed, 0);  // checksum, filled in once the body is laid
-  serde::PutU64(&framed, static_cast<uint64_t>(key.size()));
-  framed.append(key.head);
-  framed.append(*key.data);
-  serde::PutBytes(&framed, prepared);
-  serde::PutU64(&framed, static_cast<uint64_t>(size_bytes));
+Status WriteSpillFile(const std::string& dir, uint64_t digest,
+                      std::string framed) {
   std::string checksum;
   serde::PutU64(&checksum, serde::Checksum64(
-                               std::string_view(framed).substr(kBodyAt)));
-  framed.replace(kChecksumAt, checksum.size(), checksum);
+                               std::string_view(framed).substr(kFrameBodyAt)));
+  framed.replace(kFrameChecksumAt, checksum.size(), checksum);
   const fs::path path = fs::path(dir) / DigestFileName(digest);
   // Write-then-rename: a concurrent Load never observes a half-written
   // frame under the published name — it either sees the old complete file
@@ -259,9 +242,127 @@ PreparedStore::StatSlot& PreparedStore::LocalStats() const {
 
 size_t PreparedStore::DefaultSizeBytes(const Entry& entry) const {
   // The entry pins D through its key, so it still charges |head| + |D|.
-  return entry.key.size() +
-         (entry.prepared != nullptr ? entry.prepared->size() : 0) +
-         kEntryOverheadBytes;
+  return entry.key.size() + entry.payload_bytes + kEntryOverheadBytes;
+}
+
+PreparedStore::PreparedView PreparedStore::ServeOf(
+    EntryPtr entry, std::shared_ptr<const void> view) {
+  PreparedView out;
+  out.prepared = HeldPayload(*entry);
+  out.view = std::move(view);
+  if (out.prepared == nullptr) out.source = std::move(entry);
+  return out;
+}
+
+void PreparedStore::FillEntry(const EntryOptions& entry_options,
+                              std::string payload, Entry* entry,
+                              CostMeter* meter) {
+  // The entry is private to the caller (not yet published): plain writes
+  // and relaxed markers suffice, the snapshot publish releases them.
+  entry->prepared = std::make_shared<const std::string>(std::move(payload));
+  entry->payload_bytes = entry->prepared->size();
+  entry->spillable = entry_options.spillable;
+  entry->view_loss_ops = entry_options.view_loss_ops;
+  entry->evict_loss_ops = entry_options.evict_loss_ops;
+  entry->size_bytes = entry_options.size_of
+                          ? entry_options.size_of(*entry->prepared)
+                          : DefaultSizeBytes(*entry);
+  AttachView(entry_options, entry, meter);
+  if (entry->view != nullptr && entry_options.encode_view) {
+    // View-first: the query step reads only the view, so the payload is
+    // not kept twice; whoever needs it encodes it from the view.
+    entry->encode_view = entry_options.encode_view;
+    entry->prepared.reset();
+  } else {
+    entry->prepared_ready.store(entry->prepared.get(),
+                                std::memory_order_relaxed);
+  }
+}
+
+Status PreparedStore::AppendPayload(const Entry& entry,
+                                    std::string* out) const {
+  if (auto held = HeldPayload(entry)) {
+    out->append(*held);
+    return Status::OK();
+  }
+  // A view-first entry's view is set before publication and never
+  // replaced, so it is read here without a lock.
+  const size_t before = out->size();
+  Status encoded = entry.encode_view(entry.view.get(), out);
+  if (!encoded.ok()) {
+    out->resize(before);
+    return Status(encoded.code(), "payload encode failed (" +
+                                      DigestTag(entry.key.digest) +
+                                      "): " + encoded.message());
+  }
+  LocalStats().payload_encodes.fetch_add(1, std::memory_order_relaxed);
+  if (out->size() - before != entry.payload_bytes) {
+    out->resize(before);
+    return Status::Internal("payload encode produced the wrong size (" +
+                            DigestTag(entry.key.digest) + ")");
+  }
+  return Status::OK();
+}
+
+Result<std::shared_ptr<const std::string>> PreparedStore::Payload(
+    const PreparedView& view) {
+  if (view.prepared != nullptr) return view.prepared;
+  if (view.source == nullptr) {
+    return Status::FailedPrecondition("PreparedView carries no payload");
+  }
+  const EntryPtr& entry = view.source;
+  bool accounted = false;
+  std::shared_ptr<const std::string> payload;
+  {
+    std::lock_guard<std::mutex> once(entry->payload_mutex);
+    if (auto held = HeldPayload(*entry)) return held;  // a racer memoized
+    std::string encoded;
+    encoded.reserve(entry->payload_bytes);
+    PITRACT_RETURN_IF_ERROR(AppendPayload(*entry, &encoded));
+    payload = std::make_shared<const std::string>(std::move(encoded));
+    Shard& shard = ShardFor(entry->key.digest);
+    std::lock_guard<std::mutex> lock(shard.mutex);
+    TableRef table = shard.snapshot.Acquire();
+    auto it = table->find(entry->key.digest);
+    // Write-once publication, like `view`: the marker's release store
+    // orders the field write before every lock-free read. The ledger is
+    // charged in the same critical section, and only while the entry is
+    // resident (a removed entry was already uncharged without it).
+    entry->prepared = payload;
+    entry->prepared_ready.store(payload.get(), std::memory_order_release);
+    if (it != table->end() && it->second == entry) {
+      bytes_.fetch_add(static_cast<int64_t>(PayloadCharge(*entry)),
+                       std::memory_order_relaxed);
+      accounted = true;
+    }
+  }
+  if (accounted) EvictUntilWithinBudget();
+  return payload;
+}
+
+Status PreparedStore::WriteFrame(const std::string& dir,
+                                 const Entry& entry) const {
+  // v3 frame: [magic u32][version u32][checksum u64][body], where body is
+  // PutBytes(head + D) + PutBytes(payload) + PutU64(size_bytes) and the
+  // checksum covers exactly the body bytes. The header is validated
+  // structurally on Load; everything the store would *serve* is under the
+  // checksum, so bit rot can only ever degrade to recompute-on-miss. The
+  // frame is the one place the key is concatenated, and a view-first
+  // entry's payload is encoded straight into it: one buffer, sized
+  // exactly, from which the file is written.
+  const Key& key = entry.key;
+  std::string framed;
+  framed.reserve(kFrameBodyAt + 8 + key.size() + 8 + entry.payload_bytes + 8);
+  serde::PutU32(&framed, kSpillMagic);
+  serde::PutU32(&framed, kSpillVersion);
+  serde::PutU64(&framed, 0);  // checksum, filled in once the body is laid
+  serde::PutU64(&framed, static_cast<uint64_t>(key.size()));
+  framed.append(key.head);
+  framed.append(*key.data);
+  serde::PutU64(&framed, static_cast<uint64_t>(entry.payload_bytes));
+  PITRACT_RETURN_IF_ERROR(AppendPayload(entry, &framed));
+  serde::PutU64(&framed, static_cast<uint64_t>(entry.size_bytes));
+  return WriteSpillFile(dir, key.digest, std::move(framed));
 }
 
 PreparedStore::Key PreparedStore::InternKey(
@@ -309,7 +410,7 @@ Result<std::shared_ptr<const std::string>> PreparedStore::GetOrCompute(
   auto view = GetOrComputeView(problem, witness, data, compute, meter, hit,
                                entry_options);
   if (!view.ok()) return view.status();
-  return std::move(view)->prepared;
+  return Payload(*view);
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
@@ -344,6 +445,14 @@ std::shared_ptr<const void> PreparedStore::BuildView(
   return *view;
 }
 
+size_t PreparedStore::ViewCharge(const EntryOptions& entry_options,
+                                 const std::shared_ptr<const void>& view,
+                                 size_t proxy) {
+  if (view == nullptr) return 0;
+  return entry_options.view_bytes ? entry_options.view_bytes(view.get())
+                                  : proxy;
+}
+
 void PreparedStore::AttachView(const EntryOptions& entry_options,
                                Entry* entry, CostMeter* meter) {
   if (!entry_options.make_view) return;
@@ -354,7 +463,7 @@ void PreparedStore::AttachView(const EntryOptions& entry_options,
   entry->view_build_failed.store(entry->view == nullptr,
                                  std::memory_order_relaxed);
   entry->view_size_bytes.store(
-      entry->view != nullptr ? entry->prepared->size() : 0,
+      ViewCharge(entry_options, entry->view, entry->payload_bytes),
       std::memory_order_relaxed);
   entry->view_ready.store(entry->view.get(), std::memory_order_relaxed);
 }
@@ -366,9 +475,13 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
   // the stripe. Two racing hitters may both decode; exactly one publishes
   // (the miss-storm path never races: the in-flight winner builds before
   // publishing the entry). The entry is addressed by its *own* digest —
-  // a lineage-resolved hit's probe key lives in a different shard.
+  // a lineage-resolved hit's probe key lives in a different shard. Only
+  // entries that hold their payload come here: a view-first entry's view
+  // is ready from admission on.
+  const std::shared_ptr<const std::string> prepared = HeldPayload(*entry);
   std::shared_ptr<const void> built =
-      BuildView(entry_options, entry->prepared, meter);
+      prepared != nullptr ? BuildView(entry_options, prepared, meter)
+                          : nullptr;
   std::shared_ptr<const void> serve = built;
   bool accounted = false;
   {
@@ -383,16 +496,17 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
         // Negative-cache the failure: later hits serve the string path
         // directly instead of re-running the failing decode per hit.
         entry->view_build_failed.store(true, std::memory_order_relaxed);
-        return PreparedView{entry->prepared, nullptr};
+        return ServeOf(entry, nullptr);
       } else {
         // Write-once publication: the plain field store below is the only
         // post-publication write `view` ever sees, and it happens-before
         // every lock-free read via the release marker store.
+        const size_t charge =
+            ViewCharge(entry_options, built, entry->payload_bytes);
         entry->view = built;
-        entry->view_size_bytes.store(entry->prepared->size(),
-                                     std::memory_order_relaxed);
+        entry->view_size_bytes.store(charge, std::memory_order_relaxed);
         entry->view_ready.store(built.get(), std::memory_order_release);
-        bytes_.fetch_add(static_cast<int64_t>(entry->prepared->size()),
+        bytes_.fetch_add(static_cast<int64_t>(charge),
                          std::memory_order_relaxed);
         accounted = true;
       }
@@ -402,11 +516,11 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
     // consistent, so serve it without publishing.
   }
   if (accounted) EvictUntilWithinBudget();
-  return PreparedView{entry->prepared, serve};
+  return ServeOf(entry, std::move(serve));
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
-    const EntryPtr& entry, const EntryOptions& entry_options,
+    EntryPtr entry, const EntryOptions& entry_options,
     CostMeter* meter, bool* hit, bool locked) {
   Touch(*entry);
   StatSlot& stats = LocalStats();
@@ -418,7 +532,8 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
   // from this reader's perspective: once non-null, reading (copying) the
   // shared_ptr without any lock is race-free.
   if (entry->view_ready.load(std::memory_order_acquire) != nullptr) {
-    return PreparedView{entry->prepared, entry->view};
+    std::shared_ptr<const void> view = entry->view;
+    return ServeOf(std::move(entry), std::move(view));
   }
   if (entry_options.make_view &&
       !entry->view_build_failed.load(std::memory_order_relaxed)) {
@@ -426,7 +541,7 @@ Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
     // hit repairs the decoded view (outside every lock).
     return RebuildViewLazily(entry, entry_options, meter);
   }
-  return PreparedView{entry->prepared, nullptr};
+  return ServeOf(std::move(entry), nullptr);
 }
 
 PreparedStore::Key PreparedStore::BuildKeyCounted(
@@ -468,7 +583,7 @@ bool PreparedStore::TryGetView(const Key& key,
   // ServeHit may still lock a stripe once per entry lifetime (the lazy
   // post-Load view repair), but the steady-state warm probe is the same
   // lock-free snapshot hit GetOrComputeView serves.
-  auto served = ServeHit(entry, entry_options, meter, nullptr,
+  auto served = ServeHit(std::move(entry), entry_options, meter, nullptr,
                          /*locked=*/false);
   if (!served.ok()) return false;
   *out = std::move(served).value();
@@ -556,7 +671,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     }
   }
   if (resident != nullptr) {
-    return ServeHit(resident, entry_options, meter, hit,
+    return ServeHit(std::move(resident), entry_options, meter, hit,
                     /*locked=*/true);
   }
 
@@ -632,19 +747,11 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   // The entry outlives this call, so a borrowed key is copied here — the
   // one D-sized copy a string-keyed miss pays. A shared key costs nothing.
   entry->key = OwnedKey(key);
-  entry->prepared =
-      std::make_shared<const std::string>(std::move(prepared).value());
   // The miss winner builds the decoded view before publishing, so the
   // whole miss storm — winner and every waiter on the shared_future —
   // shares exactly one build.
-  AttachView(entry_options, entry.get(), meter);
-  entry->spillable = entry_options.spillable;
-  entry->view_loss_ops = entry_options.view_loss_ops;
-  entry->evict_loss_ops = entry_options.evict_loss_ops;
-  entry->size_bytes = entry_options.size_of
-                          ? entry_options.size_of(*entry->prepared)
-                          : DefaultSizeBytes(*entry);
-  PreparedView result{entry->prepared, entry->view};
+  FillEntry(entry_options, std::move(prepared).value(), entry.get(), meter);
+  PreparedView result = ServeOf(entry, entry->view);
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
@@ -653,21 +760,15 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     auto it = table.find(digest);
     if (it != table.end()) {
       // Digest collision (or a concurrent Load): replace, stay correct.
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              it->second->size_bytes +
-              it->second->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
+      bytes_.fetch_sub(static_cast<int64_t>(Charge(*it->second)),
+                       std::memory_order_relaxed);
       count_.fetch_sub(1, std::memory_order_relaxed);
       it->second = entry;
     } else {
       table.emplace(digest, entry);
     }
-    bytes_.fetch_add(
-        static_cast<int64_t>(
-            entry->size_bytes +
-            entry->view_size_bytes.load(std::memory_order_relaxed)),
-        std::memory_order_relaxed);
+    bytes_.fetch_add(static_cast<int64_t>(Charge(*entry)),
+                     std::memory_order_relaxed);
     count_.fetch_add(1, std::memory_order_relaxed);
     PublishTable(&shard, std::move(table));
     shard.inflight.erase(key);
@@ -758,20 +859,22 @@ Status PreparedStore::UpdateData(std::string_view problem,
     LocalStats().update_retries.fetch_add(1, std::memory_order_relaxed);
     flight->ready.wait();  // no locks held: the winner can publish freely
   }
-  const std::shared_ptr<const std::string> snapshot = old_entry->prepared;
 
   // Phase 2: copy-on-write patch outside every lock. Readers holding the
-  // old shared_ptr keep a consistent pre-delta snapshot throughout.
+  // old entry keep a consistent pre-delta snapshot throughout. The private
+  // copy is the held payload's bytes, or a view-first entry's view
+  // encoded straight into it.
   if (meter != nullptr) meter->AddSerial(1);  // the digest probe
-  std::string patched = *snapshot;
-  Status status;
-  // Fault-injection edge for the Δ-patch hook: a fired site behaves like
-  // a PreparedPatchFn that errored mid-batch — the resident entry is
-  // untouched and the post-delta data recomputes on its first miss.
-  if (PITRACT_FAILPOINT("store.patch")) {
-    status = Status::Internal("failpoint store.patch fired");
-  } else {
-    status = patch(&patched, meter);
+  std::string patched;
+  patched.reserve(old_entry->payload_bytes);
+  Status status = AppendPayload(*old_entry, &patched);
+  if (status.ok()) {
+    // Fault-injection edge for the Δ-patch hook: a fired site behaves
+    // like a PreparedPatchFn that errored mid-batch — the resident entry
+    // is untouched and the post-delta data recomputes on its first miss.
+    status = PITRACT_FAILPOINT("store.patch")
+                 ? Status::Internal("failpoint store.patch fired")
+                 : patch(&patched, meter);
   }
   if (!status.ok()) {
     LocalStats().patch_fallbacks.fetch_add(1, std::memory_order_relaxed);
@@ -784,19 +887,10 @@ Status PreparedStore::UpdateData(std::string_view problem,
   }
   EntryPtr fresh = std::make_shared<Entry>();
   fresh->key = OwnedKey(new_key);
-  fresh->prepared = std::make_shared<const std::string>(std::move(patched));
   // The pre-patch decoded view must never survive a re-key: rebuild it
   // from the patched payload here (still outside every lock); a failed
   // build leaves a null view and the entry serves the string path.
-  AttachView(entry_options, fresh.get(), meter);
-  fresh->spillable = entry_options.spillable;
-  fresh->view_loss_ops = entry_options.view_loss_ops;
-  fresh->evict_loss_ops = entry_options.evict_loss_ops;
-  fresh->size_bytes = entry_options.size_of
-                          ? entry_options.size_of(*fresh->prepared)
-                          : DefaultSizeBytes(*fresh);
-  const std::shared_ptr<const std::string> respill_payload = fresh->prepared;
-  const size_t respill_size = fresh->size_bytes;
+  FillEntry(entry_options, std::move(patched), fresh.get(), meter);
 
   // Phase 3: revalidate and publish atomically under both stripes; index
   // order keeps the two-lock acquisition acyclic (every other path holds
@@ -840,19 +934,13 @@ Status PreparedStore::UpdateData(std::string_view problem,
     // a reader pinned on version k keeps getting version-k answers instead
     // of a spurious Π rebuild; UpdateData trims the chain below.
     auto retire = [this](const EntryPtr& entry) {
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
+      bytes_.fetch_sub(static_cast<int64_t>(Charge(*entry)),
+                       std::memory_order_relaxed);
       count_.fetch_sub(1, std::memory_order_relaxed);
     };
     auto admit = [this](const EntryPtr& entry) {
-      bytes_.fetch_add(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
+      bytes_.fetch_add(static_cast<int64_t>(Charge(*entry)),
+                       std::memory_order_relaxed);
       count_.fetch_add(1, std::memory_order_relaxed);
     };
     const bool rekeyed = old_digest != new_digest;
@@ -943,11 +1031,8 @@ Status PreparedStore::UpdateData(std::string_view problem,
         auto found = table.find(pred_digest);
         if (found != table.end() && found->second == pred) {
           table.erase(found);
-          bytes_.fetch_sub(
-              static_cast<int64_t>(
-                  pred->size_bytes +
-                  pred->view_size_bytes.load(std::memory_order_relaxed)),
-              std::memory_order_relaxed);
+          bytes_.fetch_sub(static_cast<int64_t>(Charge(*pred)),
+                           std::memory_order_relaxed);
           count_.fetch_sub(1, std::memory_order_relaxed);
           LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
           PublishTable(&shard, std::move(table));
@@ -958,17 +1043,14 @@ Status PreparedStore::UpdateData(std::string_view problem,
     }
   }
 
-  RespillPatched(old_digest, fresh->key, respill_payload, respill_size,
-                 entry_options.spillable);
+  RespillPatched(old_digest, fresh);
   EvictUntilWithinBudget();
   return Status::OK();
 }
 
-void PreparedStore::RespillPatched(
-    uint64_t old_digest, const Key& key,
-    const std::shared_ptr<const std::string>& prepared, size_t size_bytes,
-    bool spillable) const {
-  const uint64_t new_digest = key.digest;
+void PreparedStore::RespillPatched(uint64_t old_digest,
+                                   const EntryPtr& fresh) const {
+  const uint64_t new_digest = fresh->key.digest;
   // spill_dir_mutex_ is held across the whole rewrite so chained patches
   // (v1→v2, v2→v3) cannot interleave their file writes/removes: without
   // this, a lagging v2 write could land after v3's remove of it and a
@@ -977,20 +1059,24 @@ void PreparedStore::RespillPatched(
   if (spill_dir_.empty()) return;
   // Best-effort: a failed rewrite leaves a missing or corrupt file, both
   // of which Load already degrades to recompute-on-miss.
-  if (spillable && prepared != nullptr) {
-    bool still_current = false;
+  if (fresh->spillable) {
+    // The resident entry for the key, if it is still this version: the
+    // patched entry itself or its warm clone (same payload, same version).
+    EntryPtr current;
     {
       const Shard& shard = ShardFor(new_digest);
       TableRef table = shard.snapshot.Acquire();
       auto it = table->find(new_digest);
-      still_current = it != table->end() && SameKey(it->second->key, key) &&
-                      it->second->prepared == prepared;
+      if (it != table->end() && SameKey(it->second->key, fresh->key) &&
+          it->second->version == fresh->version) {
+        current = it->second;
+      }
     }
     // Only the payload that is still resident gets a file; if a later
     // patch or eviction already moved the entry on, its own respill (or
     // the next full Spill) owns the directory's view of it.
-    if (still_current) {
-      Status written = WriteSpillFile(spill_dir_, key, *prepared, size_bytes);
+    if (current != nullptr) {
+      Status written = WriteFrame(spill_dir_, *current);
       if (written.ok()) {
         LocalStats().spilled.fetch_add(1, std::memory_order_relaxed);
       } else {
@@ -1050,17 +1136,33 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
   // (payload, view) pair and the warm hit path stays lock-free. An
   // UpdateData or lazy rebuild racing this publish revalidates by entry
   // pointer and degrades safely (patch fallback / serve-without-publish).
+  // No view bytes (lazily dropped already, never built, or an alias of
+  // the payload), or a view smaller than the payload a view-first entry
+  // would have to hold instead: nothing to gain.
+  if (DemotionFrees(*entry) <= 0) return 0;
+  std::shared_ptr<const std::string> payload = HeldPayload(*entry);
+  if (payload == nullptr) {
+    // The warm clone answers through the string path, so it needs the
+    // payload: encode it from the view, outside every lock.
+    std::string encoded;
+    encoded.reserve(entry->payload_bytes);
+    if (!AppendPayload(*entry, &encoded).ok()) return 0;
+    payload = std::make_shared<const std::string>(std::move(encoded));
+  }
   Shard& shard = ShardFor(digest);
   std::lock_guard<std::mutex> lock(shard.mutex);
   TableRef table = shard.snapshot.Acquire();
   auto it = table->find(digest);
   if (it == table->end() || it->second != entry) return 0;
-  const int64_t freed =
-      static_cast<int64_t>(entry->view_size_bytes.load(std::memory_order_relaxed));
-  if (freed <= 0) return 0;  // lazily dropped already or never built
+  // Re-read under the lock: a memoized payload since the check above
+  // makes the whole view free.
+  const int64_t freed = DemotionFrees(*entry);
+  if (freed <= 0) return 0;
   EntryPtr warm = std::make_shared<Entry>();
   warm->key = entry->key;
-  warm->prepared = entry->prepared;
+  warm->prepared = std::move(payload);
+  warm->prepared_ready.store(warm->prepared.get(), std::memory_order_relaxed);
+  warm->payload_bytes = entry->payload_bytes;
   // view / view_ready stay null and view_build_failed false: the next hit
   // re-promotes hot through the existing lazy rebuild path.
   warm->last_used.store(entry->last_used.load(std::memory_order_relaxed),
@@ -1116,8 +1218,8 @@ void PreparedStore::EvictUntilWithinBudget() {
       size_t shard;
       uint64_t digest;
       EntryPtr entry;
-      int64_t charge;      // bytes eviction frees (payload + view)
-      int64_t view_bytes;  // bytes a hot→warm demotion frees
+      int64_t charge;      // bytes eviction frees (Charge)
+      int64_t view_bytes;  // bytes a hot→warm demotion frees (may be <= 0)
       double evict_loss;   // decayed expected cost of going cold
       double view_loss;    // decayed expected cost of dropping the view
     };
@@ -1135,10 +1237,8 @@ void PreparedStore::EvictUntilWithinBudget() {
             entry->last_used.load(std::memory_order_relaxed);
         const int64_t hits =
             entry->hit_count.load(std::memory_order_relaxed);
-        const int64_t view_bytes = static_cast<int64_t>(
-            entry->view_size_bytes.load(std::memory_order_relaxed));
-        const int64_t charge =
-            static_cast<int64_t>(entry->size_bytes) + view_bytes;
+        const int64_t view_bytes = DemotionFrees(*entry);
+        const int64_t charge = static_cast<int64_t>(Charge(*entry));
         candidates.push_back(
             {stamp, spare,
              entry->superseded.load(std::memory_order_relaxed), si, digest,
@@ -1226,12 +1326,7 @@ void PreparedStore::EvictUntilWithinBudget() {
     // touched shard. A candidate whose slot moved on since the scan
     // (replaced, re-keyed, already evicted) is skipped; the outer loop
     // re-checks the budget and rescans if the skips left us over.
-    struct ColdDemotion {
-      Key key;
-      std::shared_ptr<const std::string> prepared;
-      size_t size_bytes;
-    };
-    std::vector<ColdDemotion> cold;
+    std::vector<EntryPtr> cold;
     for (size_t si = 0; si < shards_.size(); ++si) {
       bool touched = false;
       Shard& shard = shards_[si];
@@ -1251,11 +1346,8 @@ void PreparedStore::EvictUntilWithinBudget() {
         // Re-read the charge under the lock: a lazy view rebuild since
         // the scan may have grown it (the scan-time value was only the
         // prefix-size estimate).
-        bytes_.fetch_sub(
-            static_cast<int64_t>(victim.entry->size_bytes +
-                                 victim.entry->view_size_bytes.load(
-                                     std::memory_order_relaxed)),
-            std::memory_order_relaxed);
+        bytes_.fetch_sub(static_cast<int64_t>(Charge(*victim.entry)),
+                         std::memory_order_relaxed);
         count_.fetch_sub(1, std::memory_order_relaxed);
         LocalStats().evictions.fetch_add(1, std::memory_order_relaxed);
         if (options_.tiered && victim.entry->spillable &&
@@ -1265,8 +1357,7 @@ void PreparedStore::EvictUntilWithinBudget() {
           // the entry simply recomputes on miss — the old frame from an
           // earlier Spill pass (same content-addressed payload) may even
           // still cover it.
-          cold.push_back({victim.entry->key, victim.entry->prepared,
-                          victim.entry->size_bytes});
+          cold.push_back(victim.entry);
         }
       }
       if (touched) PublishTable(&shard, std::move(table));
@@ -1276,10 +1367,8 @@ void PreparedStore::EvictUntilWithinBudget() {
       // Spill's stale-file sweep and RespillPatched's rewrite/remove.
       std::lock_guard<std::mutex> dir_lock(spill_dir_mutex_);
       if (!spill_dir_.empty()) {
-        for (const ColdDemotion& demotion : cold) {
-          Status wrote =
-              WriteSpillFile(spill_dir_, demotion.key, *demotion.prepared,
-                             demotion.size_bytes);
+        for (const EntryPtr& demoted : cold) {
+          Status wrote = WriteFrame(spill_dir_, *demoted);
           if (wrote.ok()) {
             LocalStats().cold_demotions.fetch_add(1,
                                                   std::memory_order_relaxed);
@@ -1356,14 +1445,9 @@ Status PreparedStore::Spill(const std::string& dir) const {
   // otherwise write a post-delta file that the sweep below (built from an
   // older residency snapshot) would immediately delete.
   std::lock_guard<std::mutex> dir_lock(spill_dir_mutex_);
-  // Snapshots share each entry's key and payload: the frame writer's
+  // Snapshots share each entry (key, payload or view): the frame writer's
   // buffer is the pass's only D-sized allocation per entry.
-  struct Snapshot {
-    Key key;
-    std::shared_ptr<const std::string> prepared;
-    size_t size_bytes;
-  };
-  std::vector<Snapshot> snapshots;
+  std::vector<EntryPtr> snapshots;
   for (const Shard& shard : shards_) {
     // The published table is immutable: iterating it needs no lock.
     TableRef table = shard.snapshot.Acquire();
@@ -1374,7 +1458,7 @@ Status PreparedStore::Spill(const std::string& dir) const {
           entry->superseded.load(std::memory_order_relaxed)) {
         continue;
       }
-      snapshots.push_back({entry->key, entry->prepared, entry->size_bytes});
+      snapshots.push_back(entry);
     }
   }
   std::vector<std::string> written;
@@ -1382,9 +1466,8 @@ Status PreparedStore::Spill(const std::string& dir) const {
   Status first_failure;
   int64_t spilled = 0;
   int64_t failures = 0;
-  for (const Snapshot& snapshot : snapshots) {
-    Status wrote = WriteSpillFile(dir, snapshot.key, *snapshot.prepared,
-                                  snapshot.size_bytes);
+  for (const EntryPtr& snapshot : snapshots) {
+    Status wrote = WriteFrame(dir, *snapshot);
     if (!wrote.ok()) {
       // One bad write must not lose the rest of the warm set: keep
       // spilling, count the failure, and report the first error after the
@@ -1397,7 +1480,7 @@ Status PreparedStore::Spill(const std::string& dir) const {
     } else {
       ++spilled;
     }
-    written.push_back(DigestFileName(snapshot.key.digest));
+    written.push_back(DigestFileName(snapshot->key.digest));
   }
   // Drop stale spill files from earlier spills (entries since evicted or
   // replaced), so the directory always mirrors exactly this snapshot and
@@ -1500,6 +1583,9 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
     entry->key.digest = Fnv1a64(entry->key.head, *entry->key.data);
     entry->prepared =
         std::make_shared<const std::string>(std::move(prepared).value());
+    entry->prepared_ready.store(entry->prepared.get(),
+                                std::memory_order_relaxed);
+    entry->payload_bytes = entry->prepared->size();
     // Spill files carry only the payload: the decoded view is rebuilt
     // lazily on this entry's first warm hit.
     entry->size_bytes = static_cast<size_t>(*size_bytes);
@@ -1522,11 +1608,8 @@ Result<size_t> PreparedStore::Load(const std::string& dir) {
         // over it could splice a stale payload into a live version chain.
       } else {
         if (existing != table.end()) {
-          bytes_.fetch_sub(
-              static_cast<int64_t>(existing->second->size_bytes +
-                                   existing->second->view_size_bytes.load(
-                                       std::memory_order_relaxed)),
-              std::memory_order_relaxed);
+          bytes_.fetch_sub(static_cast<int64_t>(Charge(*existing->second)),
+                           std::memory_order_relaxed);
           count_.fetch_sub(1, std::memory_order_relaxed);
           existing->second = entry;
         } else {
@@ -1580,6 +1663,8 @@ PreparedStore::Stats PreparedStore::stats() const {
         slot.cold_demotions.load(std::memory_order_relaxed);
     stats.cold_promotions +=
         slot.cold_promotions.load(std::memory_order_relaxed);
+    stats.payload_encodes +=
+        slot.payload_encodes.load(std::memory_order_relaxed);
   }
   return stats;
 }
@@ -1614,6 +1699,7 @@ std::string PreparedStore::Stats::ToJson() const {
   field("view_demotions", view_demotions);
   field("cold_demotions", cold_demotions);
   field("cold_promotions", cold_promotions);
+  field("payload_encodes", payload_encodes);
   json.push_back('}');
   return json;
 }
@@ -1633,11 +1719,8 @@ void PreparedStore::Clear() {
     std::lock_guard<std::mutex> lock(shard.mutex);
     TableRef table = shard.snapshot.Acquire();
     for (const auto& [digest, entry] : *table) {
-      bytes_.fetch_sub(
-          static_cast<int64_t>(
-              entry->size_bytes +
-              entry->view_size_bytes.load(std::memory_order_relaxed)),
-          std::memory_order_relaxed);
+      bytes_.fetch_sub(static_cast<int64_t>(Charge(*entry)),
+                       std::memory_order_relaxed);
       count_.fetch_sub(1, std::memory_order_relaxed);
     }
     PublishTable(&shard, Table{});
@@ -1668,6 +1751,7 @@ void PreparedStore::ResetStats() {
     slot.view_demotions.store(0, std::memory_order_relaxed);
     slot.cold_demotions.store(0, std::memory_order_relaxed);
     slot.cold_promotions.store(0, std::memory_order_relaxed);
+    slot.payload_encodes.store(0, std::memory_order_relaxed);
   }
 }
 

@@ -1,6 +1,7 @@
 #ifndef PITRACT_ENGINE_PREPARED_STORE_H_
 #define PITRACT_ENGINE_PREPARED_STORE_H_
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -92,6 +93,8 @@ uint64_t AltKeyDigest(std::string_view head, std::string_view data);
 /// digest, so a digest collision degrades to a cache miss, never to a
 /// wrong structure.
 class PreparedStore {
+  struct Entry;  // one resident Π(D); defined below
+
  public:
   struct Options {
     /// Number of lock stripes. 0 = auto: the next power of two >=
@@ -116,10 +119,15 @@ class PreparedStore {
     size_t versions = 2;
     /// Tiered residency. When set, budget pressure moves entries down a
     /// three-tier ladder instead of straight to eviction:
-    ///   hot  — payload + decoded view resident (the fast answer path);
+    ///   hot  — decoded view resident (the fast answer path), plus the
+    ///          payload unless the entry was admitted view-first (see
+    ///          EntryOptions::encode_view);
     ///   warm — payload only: the view is *demoted* (dropped) first, the
     ///          entry keeps serving via the string path and re-promotes to
-    ///          hot through the existing lazy view rebuild on its next hit;
+    ///          hot through the existing lazy view rebuild on its next hit.
+    ///          A view-first entry's warm clone carries the payload encoded
+    ///          from its view; that demotion frees view bytes − |Π| and is
+    ///          skipped when that is not positive;
     ///   cold — evicted from memory, but (when a spill directory is
     ///          active) the payload is written as a v3 spill frame on the
     ///          way out, so the next miss *promotes* it back by reading
@@ -200,6 +208,11 @@ class PreparedStore {
     /// Cold→warm promotions: misses served by reading the digest's spill
     /// frame instead of running Π (the miss is still counted; Π was not).
     int64_t cold_promotions = 0;
+    /// Σ* payloads encoded from a view-first entry's view (see
+    /// EntryOptions::encode_view): memoized ones (string answer path,
+    /// GetOrCompute) and transient ones (Spill, cold demotion, UpdateData's
+    /// patch copy, a warm clone). Warm batches leave it at 0.
+    int64_t payload_encodes = 0;
 
     /// One JSON object with every counter, e.g.
     /// {"hits":12,"misses":3,...} — the single observability blob benches
@@ -223,6 +236,11 @@ class PreparedStore {
   /// string path (the failure is not retried on later hits).
   using ViewFn = std::function<Result<std::shared_ptr<const void>>(
       const std::shared_ptr<const std::string>& prepared, CostMeter*)>;
+  /// Inverse of a ViewFn (a PiWitness::encode_view, type-erased): appends
+  /// the exact payload the view was built from to `out`.
+  using EncodeFn = std::function<Status(const void* view, std::string* out)>;
+  /// Heap footprint of a view a ViewFn built (PiWitness::view_bytes).
+  using ViewBytesFn = std::function<size_t(const void* view)>;
 
   /// Fixed per-entry overhead the default size estimate adds on top of
   /// key+payload bytes (map node, shared_ptr control block, bookkeeping).
@@ -234,6 +252,14 @@ class PreparedStore {
     SizeFn size_of;            // unset: payload + key + kEntryOverheadBytes
     bool spillable = true;     // false: Spill skips, recompute after restart
     ViewFn make_view;          // unset: no decoded view is memoized
+    /// Set with make_view: the entry is admitted *view-first*. Once its
+    /// view is built the payload is dropped, and every path that needs it
+    /// (the string answer path, Spill, cold demotion, UpdateData, a warm
+    /// clone) encodes it from the view. The encoder is kept on the entry,
+    /// so later probes need not pass it. Unset: the payload stays resident.
+    EncodeFn encode_view;
+    /// Charges a built view its real heap bytes; unset: |Π(D)| as a proxy.
+    ViewBytesFn view_bytes;
     /// Expected cost (abstract CostMeter ops) of rebuilding the decoded
     /// view if it is demoted — what a hot→warm move risks. The tiered
     /// sweep weighs hit-decayed loss per byte freed; 0 (the default)
@@ -282,16 +308,27 @@ class PreparedStore {
   Key BuildKeyCounted(std::string_view problem, std::string_view witness,
                       std::string_view data) const;
 
-  /// One warm answer-path snapshot: the raw Σ* payload plus (when the
+  /// One warm answer-path snapshot: the raw Σ* payload and/or (when the
   /// entry carries a ViewFn and the build succeeded) its memoized decoded
   /// view. `view` aliases the entry until eviction; holders keep it alive.
   struct PreparedView {
+    /// Null for a view-first entry that has not memoized its payload: ask
+    /// Payload() for it.
     std::shared_ptr<const std::string> prepared;
     std::shared_ptr<const void> view;  // null: answer via the string path
+    /// The entry a null `prepared` is encoded from (set only then).
+    std::shared_ptr<Entry> source;
   };
 
+  /// The Σ* payload behind `view`: `view.prepared` when set, else encoded
+  /// from the view-first entry's view and memoized on the entry, exactly
+  /// once however many callers race (later calls share that copy, which
+  /// the byte ledger charges while the entry is resident).
+  Result<std::shared_ptr<const std::string>> Payload(const PreparedView& view);
+
   /// Returns the cached Π(D) for (problem, witness, data), or runs
-  /// `compute` on a miss and stores the result. `meter` is charged the full
+  /// `compute` on a miss and stores the result (a view-first entry
+  /// memoizes its payload, see Payload()). `meter` is charged the full
   /// preprocessing cost on a miss and a single probe op on a hit or an
   /// in-flight wait; `hit` (optional) reports whether Π ran in this call.
   Result<std::shared_ptr<const std::string>> GetOrCompute(
@@ -400,8 +437,10 @@ class PreparedStore {
 
   Stats stats() const;
   size_t size() const;
-  /// Summed size estimates of resident entries, decoded views included
-  /// (a resident view charges ≈ its payload's bytes against the budget).
+  /// Summed size estimates of resident entries: each entry's key and
+  /// overhead, its payload while held, and its view's real heap bytes
+  /// (EntryOptions::view_bytes; |Π(D)| for views without that hook). A
+  /// hot view-first entry charges key + view + kEntryOverheadBytes.
   size_t bytes_resident() const;
   /// The resolved options (shards = 0 has been replaced by the auto pick).
   const Options& options() const { return options_; }
@@ -415,8 +454,9 @@ class PreparedStore {
   /// One resident Π(D). Entries are heap-allocated and shared between the
   /// authoritative shard state and every published snapshot that still
   /// references them; all fields a reader may observe after publication
-  /// are either immutable (key, prepared, size_bytes, spillable) or
-  /// atomic (view, recency stamp). `key.digest` is the digest the entry is
+  /// are either immutable (key, size_bytes, payload_bytes, spillable) or
+  /// write-once behind an atomic marker (prepared, view) or atomic
+  /// (recency stamp). `key.digest` is the digest the entry is
   /// resident under. An UpdateData re-key never mutates an
   /// Entry's payload — it publishes a *new* Entry, so readers holding the
   /// old shared_ptr keep a consistent pre-delta structure.
@@ -428,8 +468,16 @@ class PreparedStore {
     /// entry's own shard through `key.digest`, even when it was served
     /// through a lineage resolution of a different probe digest.
     Key key;
+    /// The Σ* payload. Set before publication, except for a view-first
+    /// entry: it drops the payload at admission, and Payload() may memoize
+    /// one later — written once, under payload_mutex and the shard mutex,
+    /// then released through `prepared_ready`. Read it only through
+    /// HeldPayload().
     std::shared_ptr<const std::string> prepared;
-    /// Memoized decoded view of `prepared`. Write-once: set either before
+    /// Non-null (== prepared.get()) once `prepared` may be read without a
+    /// lock. Null only on a view-first entry that holds no payload.
+    std::atomic<const std::string*> prepared_ready{nullptr};
+    /// Memoized decoded view of the payload. Write-once: set either before
     /// the entry is published (miss winner, Δ-patch) or exactly once
     /// under the shard mutex (lazy post-Load rebuild); `view_ready` below
     /// is the release/acquire marker that makes the field immutable —
@@ -455,12 +503,15 @@ class PreparedStore {
     /// contention). The tiered sweep decays it by epoch age to estimate
     /// how much re-answer cost a demotion would actually forfeit.
     std::atomic<int64_t> hit_count{0};
+    /// The entry's estimate *with its payload held* (SizeFn, or key +
+    /// payload + kEntryOverheadBytes): what a spill frame records and a
+    /// Loaded entry charges. Charge() subtracts the payload while a
+    /// view-first entry does not hold one.
     size_t size_bytes = 0;
-    /// Byte estimate charged for `view` against the eviction budget
-    /// (≈ payload bytes when a view is resident — a typed decode of the
-    /// payload is the same order of magnitude; aliasing views over-count
-    /// conservatively). Kept separate from size_bytes so spill files and
-    /// view-less reloads stay payload-accurate.
+    /// Bytes charged for `view` against the eviction budget: its real heap
+    /// bytes (EntryOptions::view_bytes; 0 for a view aliasing the payload)
+    /// or |Π(D)| without that hook. Kept separate from size_bytes so spill
+    /// files and view-less reloads stay payload-accurate.
     std::atomic<size_t> view_size_bytes{0};
     /// Negative cache: the ViewFn failed on this payload, so warm hits
     /// skip the O(|Π(D)|) rebuild attempt instead of failing it per hit.
@@ -470,6 +521,15 @@ class PreparedStore {
     /// set before publication, immutable after).
     double view_loss_ops = 0;
     double evict_loss_ops = 0;
+    // Cold fields: below the ones the warm path reads and Touch() writes,
+    // so they do not spread those over more cache lines.
+    /// |Π(D)|, held or not: sizes the spill frame and the payload's charge.
+    size_t payload_bytes = 0;
+    /// Set iff the entry was admitted view-first (EntryOptions::
+    /// encode_view): produces the payload from `view`.
+    EncodeFn encode_view;
+    /// Serializes Payload()'s memoization, so racing callers encode once.
+    std::mutex payload_mutex;
     // --- MVCC lineage ------------------------------------------------------
     /// Version ordinal within its lineage (0 for a fresh Π, +1 per
     /// UpdateData re-key) and the back-link the resolver verifies.
@@ -624,6 +684,7 @@ class PreparedStore {
     std::atomic<int64_t> view_demotions{0};
     std::atomic<int64_t> cold_demotions{0};
     std::atomic<int64_t> cold_promotions{0};
+    std::atomic<int64_t> payload_encodes{0};
   };
   static constexpr size_t kStatSlots = 16;  // power of two
 
@@ -677,6 +738,51 @@ class PreparedStore {
     shard->snapshot.Publish(std::move(table));
   }
   size_t DefaultSizeBytes(const Entry& entry) const;
+  /// The entry's payload when it holds one, else null (a view-first entry
+  /// before Payload() memoized one). Lock-free.
+  static std::shared_ptr<const std::string> HeldPayload(const Entry& entry) {
+    return entry.prepared_ready.load(std::memory_order_acquire) != nullptr
+               ? entry.prepared
+               : nullptr;
+  }
+  /// Bytes of size_bytes the payload accounts for, charged only while
+  /// held.
+  static size_t PayloadCharge(const Entry& entry) {
+    return std::min(entry.payload_bytes, entry.size_bytes);
+  }
+  /// What `entry` charges against the budget right now: size_bytes, less
+  /// the payload while it is not held, plus the view. Stable under the
+  /// entry's shard mutex, where every ledger update is made.
+  static size_t Charge(const Entry& entry) {
+    const bool held =
+        entry.prepared_ready.load(std::memory_order_relaxed) != nullptr;
+    return entry.size_bytes - (held ? 0 : PayloadCharge(entry)) +
+           entry.view_size_bytes.load(std::memory_order_relaxed);
+  }
+  /// Bytes a hot→warm demotion frees: the view, less the payload a
+  /// view-first entry must encode into its warm clone. May be <= 0.
+  static int64_t DemotionFrees(const Entry& entry) {
+    return static_cast<int64_t>(Charge(entry)) -
+           static_cast<int64_t>(entry.size_bytes);
+  }
+  /// The PreparedView a hit on `entry` serves (`view` only once
+  /// view_ready was observed non-null). Takes the caller's reference, so a
+  /// view-first hit that must carry its entry costs no extra refcount
+  /// write on the entry.
+  static PreparedView ServeOf(EntryPtr entry,
+                              std::shared_ptr<const void> view);
+  /// Fills a fresh, unpublished entry from Π's (or a patch's) output:
+  /// payload, options, size estimate, and the view; a view-first entry
+  /// then drops its payload. Shared by the miss winner and the Δ-patch.
+  void FillEntry(const EntryOptions& entry_options, std::string payload,
+                 Entry* entry, CostMeter* meter);
+  /// Appends the entry's payload to `out`: a copy of the held bytes, or
+  /// the view encoded in place (one Stats::payload_encodes) for a
+  /// view-first entry. An encoder that produces other than payload_bytes
+  /// bytes is an error.
+  Status AppendPayload(const Entry& entry, std::string* out) const;
+  /// Lays out the entry's v3 spill frame and writes it under `dir`.
+  Status WriteFrame(const std::string& dir, const Entry& entry) const;
   /// Runs `make_view` (if any) over `prepared`, translating failures and
   /// unwinds into a null view (string-path fallback, never an error).
   std::shared_ptr<const void> BuildView(
@@ -687,11 +793,15 @@ class PreparedStore {
   /// is private to the caller, so plain relaxed stores suffice).
   void AttachView(const EntryOptions& entry_options, Entry* entry,
                   CostMeter* meter);
+  /// The bytes `view` charges: entry_options.view_bytes, or `proxy`.
+  static size_t ViewCharge(const EntryOptions& entry_options,
+                           const std::shared_ptr<const void>& view,
+                           size_t proxy);
   /// Serves one snapshot/table hit: recency stamp, stats, meter, and the
   /// lazy view repair when the entry was Loaded without one. Addresses the
   /// entry by its own digest (not the probe key's), so lineage-resolved
   /// hits repair the shard the entry actually lives in.
-  Result<PreparedView> ServeHit(const EntryPtr& entry,
+  Result<PreparedView> ServeHit(EntryPtr entry,
                                 const EntryOptions& entry_options,
                                 CostMeter* meter, bool* hit, bool locked);
   /// Hit-path view repair (post-Load entries have no view yet): decodes
@@ -716,9 +826,10 @@ class PreparedStore {
   bool OverBudget() const;
   /// Hot→warm: publishes a view-less clone of `entry` (same key, payload,
   /// MVCC metadata, recency and hit state) iff it is still the resident
-  /// entry for `digest`. Returns the bytes freed (0 = lost the race).
-  /// Readers holding the old entry keep its view alive; the clone
-  /// re-promotes through the lazy view rebuild on its next hit.
+  /// entry for `digest`. A view-first entry's clone carries the payload
+  /// encoded from the view. Returns the bytes freed (0 = lost the race, or
+  /// nothing to free). Readers holding the old entry keep its view alive;
+  /// the clone re-promotes through the lazy view rebuild on its next hit.
   int64_t DemoteView(uint64_t digest, const EntryPtr& entry);
   /// Cold-tier probe on the miss-winner path: reads the digest's v3 spill
   /// frame from the active spill directory, validates magic/version/
@@ -735,9 +846,7 @@ class PreparedStore {
   /// Best-effort spill-directory maintenance after a successful patch:
   /// rewrites the patched entry's file under its new digest and drops the
   /// old digest's file, so Load never resurrects the pre-delta Π(D).
-  void RespillPatched(uint64_t old_digest, const Key& key,
-                      const std::shared_ptr<const std::string>& prepared,
-                      size_t size_bytes, bool spillable) const;
+  void RespillPatched(uint64_t old_digest, const EntryPtr& fresh) const;
 
   /// One supersession edge of the version DAG (it is a chain per lineage):
   /// probe digest -> the digest UpdateData re-keyed it to, plus the

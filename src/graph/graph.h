@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/heap_bytes.h"
 #include "common/result.h"
 
 namespace pitract {
@@ -64,6 +65,12 @@ class Graph {
   int64_t EstimateBytes() const {
     return static_cast<int64_t>(offsets_.size() * sizeof(int64_t) +
                                 adj_.size() * sizeof(NodeId));
+  }
+
+  /// Heap bytes of the adjacency buffers, allocator chunks included (the
+  /// Graph object itself is its holder's to count).
+  size_t HeapBytes() const {
+    return VectorHeapBytes(offsets_) + VectorHeapBytes(adj_);
   }
 
   /// Σ*-encoding "n#directed#src,dst,src,dst,..." per Section 3.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <limits>
 
+#include "common/heap_bytes.h"
 #include "common/serde.h"
 
 namespace pitract {
@@ -200,6 +201,15 @@ int64_t IncrementalTransitiveClosure::NumEdges() const {
   int64_t m = 0;
   for (const auto& adj : out_) m += static_cast<int64_t>(adj.size());
   return m;
+}
+
+size_t IncrementalTransitiveClosure::HeapBytes() const {
+  size_t bytes = VectorHeapBytes(desc_) + VectorHeapBytes(anc_) +
+                 VectorHeapBytes(out_);
+  for (const reach::Bitset& row : desc_) bytes += VectorHeapBytes(row.words());
+  for (const reach::Bitset& row : anc_) bytes += VectorHeapBytes(row.words());
+  for (const auto& targets : out_) bytes += VectorHeapBytes(targets);
+  return bytes;
 }
 
 std::string IncrementalTransitiveClosure::Serialize() const {

@@ -72,6 +72,10 @@ class IncrementalTransitiveClosure {
   int64_t last_insert_work() const { return last_insert_work_; }
   int64_t last_delete_work() const { return last_delete_work_; }
 
+  /// Heap bytes of the closure rows and edge lists, allocator chunks
+  /// included (the object itself is its holder's to count).
+  size_t HeapBytes() const;
+
   /// Binary image of the maintained closure, fit for a PreparedStore
   /// payload: u64 format tag, u64 n, u64 m, then the n descendant rows and
   /// the n ancestor rows — each row (n+63)/64 little-endian u64 words —

@@ -53,6 +53,20 @@ BPlusTree::~BPlusTree() {
   }
 }
 
+size_t BPlusTree::HeapBytes() const {
+  size_t bytes = 0;
+  std::vector<const Node*> pending;
+  if (root_) pending.push_back(root_.get());
+  while (!pending.empty()) {
+    const Node* node = pending.back();
+    pending.pop_back();
+    bytes += HeapChunkBytes(sizeof(Node)) + VectorHeapBytes(node->keys) +
+             VectorHeapBytes(node->payloads) + VectorHeapBytes(node->children);
+    for (const auto& child : node->children) pending.push_back(child.get());
+  }
+  return bytes;
+}
+
 // ---------------------------------------------------------------------------
 // Search
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/cost_meter.h"
+#include "common/heap_bytes.h"
 #include "common/status.h"
 
 namespace pitract {
@@ -78,6 +79,9 @@ class BPlusTree {
   int64_t size() const { return num_entries_; }
   bool empty() const { return num_entries_ == 0; }
   BPlusTreeStats Stats() const;
+  /// Heap bytes of every node and its key/payload/child arrays, allocator
+  /// chunks included (the tree object itself is its holder's to count).
+  size_t HeapBytes() const;
 
   /// Checks every invariant (key order, occupancy, uniform depth, separator
   /// correctness, leaf-chain consistency). Returns the first violation.

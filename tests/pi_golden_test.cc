@@ -397,6 +397,69 @@ TEST(PiGoldenTest, PayloadsViewsChargesAndFramesArePinned) {
   }
 }
 
+/// A view-first store entry keeps only the decoded view and re-encodes
+/// Π(D) whenever the payload is asked for, so every witness with an
+/// encode_view hook must give back Π's bytes exactly: signed, extreme and
+/// duplicate values, empty and single-value parts, and parts above the
+/// parallel grain. The hook appends to what the buffer already holds.
+std::string EncodeThroughView(const core::PiWitness& w,
+                              const std::string& payload) {
+  auto view =
+      w.deserialize(std::make_shared<const std::string>(payload), nullptr);
+  EXPECT_TRUE(view.ok()) << view.status().ToString();
+  if (!view.ok()) return "";
+  std::string encoded = "frame-head";
+  EXPECT_TRUE(w.encode_view(view->get(), &encoded).ok());
+  return encoded.substr(std::string("frame-head").size());
+}
+
+TEST(PiGoldenTest, EncodeViewReproducesEveryPayload) {
+  int encoders = 0;
+  for (const Part& part : GoldenParts()) {
+    if (!part.witness.encode_view) continue;
+    SCOPED_TRACE(part.name);
+    auto payload = part.witness.preprocess(part.data, nullptr);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    EXPECT_EQ(EncodeThroughView(part.witness, *payload), *payload);
+    ++encoders;
+  }
+  // Seven member parts, two connectivity parts and the BDS part; the
+  // closure, edge-scan and B+-tree views keep their payloads.
+  EXPECT_EQ(encoders, 10);
+
+  // Derived entries forward the hook with the view: the λ-rewritten
+  // interval witness and the transported reductions encode the same way.
+  auto engine = MakeEngine();
+  for (const char* name : {"predicate-selection", "member-via-conn",
+                           "connectivity-via-bds", "member-via-bds"}) {
+    auto entry = engine->Find(name);
+    ASSERT_TRUE(entry.ok()) << name;
+    EXPECT_TRUE(static_cast<bool>((*entry)->witness.encode_view)) << name;
+  }
+  const std::vector<Part> parts = GoldenParts();
+  for (const Part& part : parts) {
+    if (part.problem != "list-membership") continue;
+    SCOPED_TRACE(part.name);
+    const core::PiWitness& interval =
+        (*engine->Find("predicate-selection"))->witness;
+    auto payload = interval.preprocess(part.data, nullptr);
+    ASSERT_TRUE(payload.ok());
+    EXPECT_EQ(EncodeThroughView(interval, *payload), *payload);
+
+    // A Δ-patched column is what UpdateData hands the next re-key.
+    if (payload->empty()) continue;
+    std::string patched = *payload;
+    DeltaBatch delta;
+    delta.ops = {{DeltaOp::Kind::kListInsert, -5, 0},
+                 {DeltaOp::Kind::kListInsert,
+                  std::numeric_limits<int64_t>::max(), 0},
+                 {DeltaOp::Kind::kListInsert,
+                  std::numeric_limits<int64_t>::min(), 0}};
+    ASSERT_TRUE(MemberPreparedPatch()(&patched, delta, nullptr).ok());
+    EXPECT_EQ(EncodeThroughView(interval, patched), patched);
+  }
+}
+
 /// Post-delta bytes: the patched member column and the rebuilt closure
 /// must leave the same data part and the same re-spilled frames.
 struct DeltaGolden {

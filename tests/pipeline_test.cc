@@ -736,6 +736,7 @@ TEST(ReportJsonTest, StoreStatsBlobHasOneKeyPerField) {
   stats.view_demotions = 17;
   stats.cold_demotions = 18;
   stats.cold_promotions = 19;
+  stats.payload_encodes = 20;
   const std::map<std::string, int64_t> want = {
       {"hits", 1},           {"misses", 2},
       {"evictions", 3},      {"inflight_waits", 4},
@@ -746,7 +747,7 @@ TEST(ReportJsonTest, StoreStatsBlobHasOneKeyPerField) {
       {"lineage_resolves", 13}, {"respill_failures", 14},
       {"load_skipped", 15},  {"load_corrupt", 16},
       {"view_demotions", 17}, {"cold_demotions", 18},
-      {"cold_promotions", 19},
+      {"cold_promotions", 19}, {"payload_encodes", 20},
   };
   EXPECT_EQ(ParseFlatJson(stats.ToJson()), want);
 }
