@@ -139,12 +139,15 @@ Status RegisterBuiltins(QueryEngine* engine) {
       // Cost prior: the closure is the expensive-build/O(1)-answer
       // extreme; the edge-scan alternative is the cheap-build/BFS-answer
       // one. Small or cold parts select the scan, hot parts the closure —
-      // the trade bench_x6_adaptive measures end to end. The closure's
-      // build is superlinear in |D| (affected-region propagation per
-      // edge), so its prior is a two-point fit of the charged build cost
-      // at |D| ≈ 1.4KB (≈6.3K ops) and |D| ≈ 7.2KB (≈193K ops): the
-      // negative base is the fit's intercept, clamped to 0 by BuildOps for
-      // parts below the fit's root.
+      // the trade bench_x6_adaptive measures end to end. The prior is a
+      // two-point fit of the charge of the old insert-by-insert build
+      // (affected-region propagation per edge) at |D| ≈ 1.4KB (≈6.3K ops)
+      // and |D| ≈ 7.2KB (≈193K ops): the negative base is the fit's
+      // intercept, clamped to 0 by BuildOps for parts below the fit's
+      // root. The condensation build now charges far less (≈3.1K ops at
+      // 256 nodes / 512 arcs), but the prior is kept on purpose: it
+      // decides which witness kAdaptive picks for cold parts, and
+      // refitting it is a cost-model change of its own.
       entry.witness_descriptor.build_ops_base = -38000.0;
       entry.witness_descriptor.build_ops_per_byte = 32.0;
       entry.witness_descriptor.bytes_per_byte = 2.0;

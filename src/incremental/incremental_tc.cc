@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
+#include <span>
 
 #include "common/heap_bytes.h"
 #include "common/serde.h"
+#include "graph/algos.h"
 
 namespace pitract {
 namespace incremental {
@@ -19,6 +22,43 @@ int64_t WordsPerRow(int64_t n) { return (n + 63) / 64; }
 /// (NodeId is 32-bit), so a v1 image — whose first u64 was n itself —
 /// can never alias a v2 header.
 constexpr uint64_t kFormatTagV2 = 0xFFFFFFFF00000002ull;
+
+/// Image header: format tag, n, m.
+constexpr int64_t kHeaderBytes = 24;
+
+/// Writes `words` as little-endian u64s at `dst`; returns the end.
+char* StoreWords(char* dst, std::span<const uint64_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, words.data(), words.size() * 8);
+    return dst + words.size() * 8;
+  } else {
+    for (uint64_t word : words) {
+      for (int i = 0; i < 8; ++i) *dst++ = static_cast<char>(word >> (8 * i));
+    }
+    return dst;
+  }
+}
+
+char* StoreWord(char* dst, uint64_t word) {
+  return StoreWords(dst, std::span<const uint64_t>(&word, 1));
+}
+
+/// Reads `words.size()` little-endian u64s from `src`; returns the end.
+const char* LoadWords(const char* src, std::span<uint64_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(words.data(), src, words.size() * 8);
+    return src + words.size() * 8;
+  } else {
+    for (uint64_t& word : words) {
+      word = 0;
+      for (int i = 0; i < 8; ++i) {
+        word |= static_cast<uint64_t>(static_cast<unsigned char>(*src++))
+                << (8 * i);
+      }
+    }
+    return src;
+  }
+}
 
 }  // namespace
 
@@ -35,12 +75,72 @@ IncrementalTransitiveClosure::IncrementalTransitiveClosure(graph::NodeId n)
 
 IncrementalTransitiveClosure IncrementalTransitiveClosure::Build(
     const graph::Graph& g, CostMeter* meter) {
-  IncrementalTransitiveClosure tc(g.num_nodes());
-  for (graph::NodeId u = 0; u < g.num_nodes(); ++u) {
-    for (graph::NodeId v : g.OutNeighbors(u)) {
-      auto changed = tc.InsertEdge(u, v, meter);
-      (void)changed;
+  const graph::NodeId n = g.num_nodes();
+  IncrementalTransitiveClosure tc(n);
+  // The maintained edge set is the graph's sorted adjacency with parallel
+  // arcs collapsed (set semantics, as InsertEdge keeps it).
+  int64_t arcs = 0;
+  for (graph::NodeId u = 0; u < n; ++u) {
+    const auto nbrs = g.OutNeighbors(u);
+    arcs += static_cast<int64_t>(nbrs.size());
+    auto& adj = tc.out_[static_cast<size_t>(u)];
+    adj.assign(nbrs.begin(), nbrs.end());
+    adj.erase(std::unique(adj.begin(), adj.end()), adj.end());
+  }
+  // Reachability is invariant under SCC contraction: every member of a
+  // component has the same descendant and ancestor sets. Each component's
+  // two rows are built in its lowest member's slots, then copied to the
+  // other members.
+  const graph::SccResult scc = graph::StronglyConnectedComponents(g);
+  const graph::Graph dag = graph::Condense(g, scc);
+  const graph::NodeId k = scc.num_components;
+  const std::vector<graph::NodeId>& comp = scc.component;
+  std::vector<graph::NodeId> rep(static_cast<size_t>(k), -1);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    auto& r = rep[static_cast<size_t>(comp[static_cast<size_t>(v)])];
+    if (r < 0) {
+      r = v;  // the constructor already set the reflexive bits
+    } else {
+      tc.desc_[static_cast<size_t>(r)].Set(v);
+      tc.anc_[static_cast<size_t>(r)].Set(v);
     }
+  }
+  // Tarjan numbers components in reverse topological order, so every
+  // condensation successor has a lower id. Ascending ids: a component's
+  // successors' descendant rows are complete when it pulls them in.
+  // Descending ids: a component's ancestor row is complete (all its
+  // predecessors have pushed into it) when it pushes on to its successors.
+  auto rows_of = [&](std::vector<reach::Bitset>& rows, graph::NodeId c)
+      -> reach::Bitset& {
+    return rows[static_cast<size_t>(rep[static_cast<size_t>(c)])];
+  };
+  int64_t row_words = 0;
+  for (graph::NodeId c = 0; c < k; ++c) {
+    reach::Bitset& row = rows_of(tc.desc_, c);
+    for (graph::NodeId s : dag.OutNeighbors(c)) {
+      row.UnionWith(rows_of(tc.desc_, s));
+      row_words += row.num_words();
+    }
+  }
+  for (graph::NodeId c = k - 1; c >= 0; --c) {
+    const reach::Bitset& row = rows_of(tc.anc_, c);
+    for (graph::NodeId s : dag.OutNeighbors(c)) {
+      rows_of(tc.anc_, s).UnionWith(row);
+      row_words += row.num_words();
+    }
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const graph::NodeId c = comp[static_cast<size_t>(v)];
+    if (rep[static_cast<size_t>(c)] == v) continue;
+    tc.desc_[static_cast<size_t>(v)] = rows_of(tc.desc_, c);
+    tc.anc_[static_cast<size_t>(v)] = rows_of(tc.anc_, c);
+    row_words += 2 * WordsPerRow(n);
+  }
+  if (meter != nullptr) {
+    // SCC, condensation and the adjacency copy are O(n + m); the row
+    // unions and member copies are word-parallel.
+    meter->AddSerial(n + arcs + row_words);
+    meter->AddBytesWritten(2 * static_cast<int64_t>(n) * WordsPerRow(n) * 8);
   }
   return tc;
 }
@@ -66,7 +166,7 @@ Result<int64_t> IncrementalTransitiveClosure::InsertEdge(graph::NodeId u,
   // merge desc(v) into desc(x); symmetrically for ancestor rows. Work is
   // proportional to the rows actually touched — the affected region.
   int64_t changed_pairs = 0;
-  const reach::Bitset& dv = desc_[static_cast<size_t>(v)];
+  const auto& dv_words = desc_[static_cast<size_t>(v)].words();
   const auto& anc_words = anc_[static_cast<size_t>(u)].words();
   for (size_t w = 0; w < anc_words.size(); ++w) {
     const uint64_t word = anc_words[w];
@@ -75,24 +175,22 @@ Result<int64_t> IncrementalTransitiveClosure::InsertEdge(graph::NodeId u,
     for (int bit = 0; bit < 64; ++bit) {
       if (((word >> bit) & 1) == 0) continue;
       const auto x = static_cast<graph::NodeId>(w * 64 + bit);
-      reach::Bitset& dx = desc_[static_cast<size_t>(x)];
-      const int64_t before = dx.Count();
-      const bool changed = dx.UnionWith(dv);
-      last_insert_work_ += dx.num_words();
-      if (!changed) continue;
-      changed_pairs += dx.Count() - before;
-      // Maintain ancestor rows for each node v's subtree made reachable:
-      // visit only the set bits of desc(v), not all n nodes.
-      const auto& dv_words = dv.words();
-      for (size_t dw = 0; dw < dv_words.size(); ++dw) {
-        for (uint64_t bits = dv_words[dw]; bits != 0; bits &= bits - 1) {
+      const std::span<uint64_t> dx =
+          desc_[static_cast<size_t>(x)].mutable_words();
+      last_insert_work_ += static_cast<int64_t>(dx.size());
+      // Union desc(v) into desc(x) word by word; only the bits x newly
+      // gains need an ancestor-row update (anc is desc's transpose).
+      for (size_t dw = 0; dw < dx.size(); ++dw) {
+        const uint64_t gained = dv_words[dw] & ~dx[dw];
+        if (gained == 0) continue;
+        dx[dw] |= gained;
+        const int gained_bits = std::popcount(gained);
+        changed_pairs += gained_bits;
+        last_insert_work_ += gained_bits;
+        for (uint64_t bits = gained; bits != 0; bits &= bits - 1) {
           const auto y =
               static_cast<graph::NodeId>(dw * 64 + std::countr_zero(bits));
-          reach::Bitset& ay = anc_[static_cast<size_t>(y)];
-          if (!ay.Test(x)) {
-            ay.Set(x);
-            ++last_insert_work_;
-          }
+          anc_[static_cast<size_t>(y)].Set(x);
         }
       }
     }
@@ -213,22 +311,21 @@ size_t IncrementalTransitiveClosure::HeapBytes() const {
 }
 
 std::string IncrementalTransitiveClosure::Serialize() const {
-  std::string out;
   const int64_t wpr = WordsPerRow(n_);
   const int64_t m = NumEdges();
-  out.reserve(static_cast<size_t>(24 + 2 * n_ * wpr * 8 + 8 * m));
-  serde::PutU64(&out, kFormatTagV2);
-  serde::PutU64(&out, static_cast<uint64_t>(n_));
-  serde::PutU64(&out, static_cast<uint64_t>(m));
+  std::string out(static_cast<size_t>(kHeaderBytes + 2 * n_ * wpr * 8 + 8 * m),
+                  '\0');
+  char* p = out.data();
+  p = StoreWord(p, kFormatTagV2);
+  p = StoreWord(p, static_cast<uint64_t>(n_));
+  p = StoreWord(p, static_cast<uint64_t>(m));
   for (const auto* rows : {&desc_, &anc_}) {
-    for (const reach::Bitset& row : *rows) {
-      for (uint64_t word : row.words()) serde::PutU64(&out, word);
-    }
+    for (const reach::Bitset& row : *rows) p = StoreWords(p, row.words());
   }
   for (graph::NodeId u = 0; u < n_; ++u) {
     for (graph::NodeId v : out_[static_cast<size_t>(u)]) {
-      serde::PutU64(&out, (static_cast<uint64_t>(u) << 32) |
-                              static_cast<uint64_t>(static_cast<uint32_t>(v)));
+      p = StoreWord(p, (static_cast<uint64_t>(u) << 32) |
+                           static_cast<uint64_t>(static_cast<uint32_t>(v)));
     }
   }
   return out;
@@ -256,6 +353,9 @@ IncrementalTransitiveClosure::Deserialize(std::string_view bytes) {
   if (reader.remaining() != static_cast<size_t>(2 * n * wpr * 8 + 8 * m)) {
     return Status::InvalidArgument("closure image: truncated or oversized");
   }
+  // The size is exact from here on: rows and edges are copied straight
+  // out of the buffer.
+  const char* p = bytes.data() + reader.consumed();
   // Bits at or above n in a row's last word would name nodes that do not
   // exist; InsertEdge walks set bits unchecked, so such a row is refused.
   const uint64_t past_n =
@@ -263,13 +363,11 @@ IncrementalTransitiveClosure::Deserialize(std::string_view bytes) {
   IncrementalTransitiveClosure tc(n);
   for (auto* rows : {&tc.desc_, &tc.anc_}) {
     for (reach::Bitset& row : *rows) {
-      for (int64_t w = 0; w < wpr; ++w) {
-        PITRACT_ASSIGN_OR_RETURN(uint64_t word, reader.ReadU64());
-        if (w == wpr - 1 && (word & past_n) != 0) {
-          return Status::InvalidArgument(
-              "closure image: row bit past node count");
-        }
-        row.SetWord(w, word);
+      const std::span<uint64_t> words = row.mutable_words();
+      p = LoadWords(p, words);
+      if ((words.back() & past_n) != 0) {
+        return Status::InvalidArgument(
+            "closure image: row bit past node count");
       }
     }
   }
@@ -277,14 +375,13 @@ IncrementalTransitiveClosure::Deserialize(std::string_view bytes) {
   // both validates sorted/unique adjacency and lets them stream straight
   // into the per-node lists.
   uint64_t prev_key = 0;
-  bool have_prev = false;
   for (int64_t e = 0; e < m; ++e) {
-    PITRACT_ASSIGN_OR_RETURN(uint64_t key, reader.ReadU64());
-    if (have_prev && key <= prev_key) {
+    uint64_t key;
+    p = LoadWords(p, std::span<uint64_t>(&key, 1));
+    if (e > 0 && key <= prev_key) {
       return Status::InvalidArgument("closure image: edge list not sorted");
     }
     prev_key = key;
-    have_prev = true;
     const auto u = static_cast<int64_t>(key >> 32);
     const auto v = static_cast<int64_t>(key & 0xFFFFFFFFull);
     if (u >= n || v >= n) {
@@ -325,14 +422,15 @@ Result<bool> IncrementalTransitiveClosure::ReachableInSerialized(
     return Status::InvalidArgument("closure image: edge count overflows");
   }
   const auto m = static_cast<int64_t>(m_raw);
-  if (bytes.size() != static_cast<size_t>(24 + 2 * n * wpr * 8 + 8 * m)) {
+  if (bytes.size() !=
+      static_cast<size_t>(kHeaderBytes + 2 * n * wpr * 8 + 8 * m)) {
     return Status::InvalidArgument("closure image: truncated or oversized");
   }
   if (u < 0 || u >= n || v < 0 || v >= n) {
     return Status::OutOfRange("node id out of range");
   }
   const size_t offset =
-      static_cast<size_t>(24 + (u * wpr + (v >> 6)) * 8);
+      static_cast<size_t>(kHeaderBytes + (u * wpr + (v >> 6)) * 8);
   uint64_t word = 0;
   for (size_t i = 0; i < 8; ++i) {
     word |= static_cast<uint64_t>(

@@ -32,7 +32,13 @@ namespace incremental {
 class IncrementalTransitiveClosure {
  public:
   /// Initializes the closure of `g` from scratch (the paper's "evaluate
-  /// once as preprocessing" step).
+  /// once as preprocessing" step). Works on the SCC condensation: each
+  /// component's descendant row is its members OR'd with its successors'
+  /// rows in reverse topological order, its ancestor row the mirror sweep,
+  /// and every member gets its component's rows. The result (rows and
+  /// edge list) equals inserting g's arcs one by one with InsertEdge, at
+  /// O(n + m + (m_dag + n) · n/64) word work instead of per-edge
+  /// affected-region propagation.
   static IncrementalTransitiveClosure Build(const graph::Graph& g,
                                             CostMeter* meter);
 

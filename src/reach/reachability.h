@@ -2,6 +2,7 @@
 #define PITRACT_REACH_REACHABILITY_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/cost_meter.h"
@@ -29,11 +30,10 @@ class Bitset {
   }
   /// Raw word storage (little-endian bit order), for hashing/signatures.
   const std::vector<uint64_t>& words() const { return words_; }
-  /// Overwrites word `w` wholesale — the rehydration path of persisted
-  /// closures (incremental::IncrementalTransitiveClosure::Deserialize).
-  void SetWord(int64_t w, uint64_t value) {
-    words_[static_cast<size_t>(w)] = value;
-  }
+  /// Writable word storage, for word-parallel writers that fuse their own
+  /// per-word logic: the closure's InsertEdge and Deserialize
+  /// (incremental::IncrementalTransitiveClosure).
+  std::span<uint64_t> mutable_words() { return words_; }
   /// this |= other; returns true if any bit changed.
   bool UnionWith(const Bitset& other) {
     bool changed = false;

@@ -274,8 +274,8 @@ constexpr Golden kGolden[] = {
      0x1150c286838b030aull, 0xd07a9f17b7c248ecull},
     {"bds", 0x11030d0f5e9010fcull, 0xe777ac89a6cc2373ull, 6130, 6130, 24520,
      4096, 0xc30de47ee9717342ull, 0x25306775f1f36bf0ull},
-    {"reach-closure", 0xebb5added41d2535ull, 0xebb5added41d2535ull, 94312,
-     94312, 0, 5360, 0x219d0266a0dd03b2ull, 0x3250598c4409c8e9ull},
+    {"reach-closure", 0xebb5added41d2535ull, 0xebb5added41d2535ull, 3113,
+     3113, 0, 16384, 0x219d0266a0dd03b2ull, 0x3250598c4409c8e9ull},
     {"reach-edge-scan", 0xbe56d1dd648bea8dull, 0x9745e64cb07a65e6ull, 761, 761,
      0, 0, 0x0ull, 0x0ull},
     {"member-large", 0x8b11fd73ba7c3b13ull, 0x2383e336b79e6d59ull, 1114112,
