@@ -155,21 +155,25 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
 
 namespace {
 
-/// EncodeInts' two passes: chunk c holds values [begin(c), begin(c + 1)),
-/// each printed with the ',' before it (none before the first). Its text
-/// is sized exactly, a prefix sum places it, `place(total)` hands back
-/// where the whole text goes, and to_chars writes straight into place.
-template <typename Place>
-void PrintInts(const std::vector<int64_t>& values, Place place) {
-  const size_t n = values.size();
+/// EncodeInts' two passes over the values base + v[0, n): chunk c holds
+/// values [begin(c), begin(c + 1)), each printed with the ',' before it
+/// (none before the first). Its text is sized exactly, a prefix sum places
+/// it, `place(total)` hands back where the whole text goes, and to_chars
+/// writes straight into place. The sum wraps in uint64_t, so a raw int64
+/// column prints with base 0 and an offset column as base + offset.
+template <typename T, typename Place>
+void PrintInts(int64_t base, const T* v, size_t n, Place place) {
+  auto value = [base, v](size_t i) {
+    return static_cast<int64_t>(static_cast<uint64_t>(base) +
+                                static_cast<uint64_t>(v[i]));
+  };
   const size_t chunks = parallel::ChunksFor(n);
   auto begin = [n, chunks](size_t c) { return c * n / chunks; };
-  const int64_t* const v = values.data();
   std::vector<size_t> offset(chunks + 1, 0);
   parallel::Run(chunks, [&](size_t c) {
     size_t size = 0;
     for (size_t i = begin(c), end = begin(c + 1); i < end; ++i) {
-      size += DecimalLength(v[i]) + (i > 0 ? 1 : 0);
+      size += DecimalLength(value(i)) + (i > 0 ? 1 : 0);
     }
     offset[c + 1] = size;
   });
@@ -180,8 +184,18 @@ void PrintInts(const std::vector<int64_t>& values, Place place) {
     char* const end = text + offset[c + 1];
     for (size_t i = begin(c), last = begin(c + 1); i < last; ++i) {
       if (i > 0) *p++ = ',';
-      p = std::to_chars(p, end, v[i]).ptr;
+      p = std::to_chars(p, end, value(i)).ptr;
     }
+  });
+}
+
+/// PrintInts appending to `*out`.
+template <typename T>
+void AppendPrinted(int64_t base, std::span<const T> v, std::string* out) {
+  PrintInts(base, v.data(), v.size(), [out](size_t size) {
+    const size_t at = out->size();
+    out->resize(at + size);
+    return out->data() + at;
   });
 }
 
@@ -189,19 +203,25 @@ void PrintInts(const std::vector<int64_t>& values, Place place) {
 
 std::string EncodeInts(const std::vector<int64_t>& values) {
   std::string out;
-  PrintInts(values, [&out](size_t size) {
+  PrintInts(0, values.data(), values.size(), [&out](size_t size) {
     out = std::string(size, '\0');  // exact capacity
     return out.data();
   });
   return out;
 }
 
-void AppendInts(const std::vector<int64_t>& values, std::string* out) {
-  PrintInts(values, [out](size_t size) {
-    const size_t base = out->size();
-    out->resize(base + size);
-    return out->data() + base;
-  });
+void AppendInts(std::span<const int64_t> values, std::string* out) {
+  AppendPrinted(0, values, out);
+}
+
+void AppendInts(int64_t base, std::span<const uint16_t> offsets,
+                std::string* out) {
+  AppendPrinted(base, offsets, out);
+}
+
+void AppendInts(int64_t base, std::span<const uint32_t> offsets,
+                std::string* out) {
+  AppendPrinted(base, offsets, out);
 }
 
 Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {

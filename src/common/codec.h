@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,7 +52,13 @@ std::optional<std::vector<std::string_view>> DecodeFieldsView(
 std::string EncodeInts(const std::vector<int64_t>& values);
 /// EncodeInts appended to `*out` in place: the text lands straight in the
 /// caller's buffer (a spill frame, a Δ-patch copy) with no temporary.
-void AppendInts(const std::vector<int64_t>& values, std::string* out);
+void AppendInts(std::span<const int64_t> values, std::string* out);
+/// AppendInts of the values base + offsets[i] (a frame-of-reference
+/// column, core::IntColumn), printed without materializing them as int64s.
+void AppendInts(int64_t base, std::span<const uint16_t> offsets,
+                std::string* out);
+void AppendInts(int64_t base, std::span<const uint32_t> offsets,
+                std::string* out);
 
 /// Inverse of EncodeInts. Fails on malformed numerals. Above
 /// parallel::kGrain bytes the text is cut at commas and the chunks are

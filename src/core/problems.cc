@@ -5,12 +5,14 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 
 #include "bds/bds.h"
 #include "circuit/transforms.h"
 #include "common/codec.h"
 #include "common/heap_bytes.h"
 #include "common/parallel.h"
+#include "core/int_column.h"
 #include "graph/algos.h"
 #include "ncsim/ncsim.h"
 
@@ -31,34 +33,33 @@ Result<std::vector<std::string>> DecodeExactly(const std::string& x,
 }
 
 /// Shared deserialize hook for the int-list-shaped Π payloads (sorted
-/// column, component labels, BDS ranks): one typed vector, decoded once
-/// per store entry instead of once per query.
+/// column, component labels, BDS ranks): one IntColumn at the narrowest
+/// width the values' range allows, decoded once per store entry instead
+/// of once per query.
 Result<PiViewPtr> DeserializeIntListView(
     const std::shared_ptr<const std::string>& prepared, CostMeter*) {
   auto values = codec::DecodeInts(*prepared);
   if (!values.ok()) return values.status();
-  return PiViewPtr(
-      std::make_shared<std::vector<int64_t>>(std::move(values).value()));
+  return PiViewPtr(std::make_shared<const IntColumn>(*values));
 }
 
-const std::vector<int64_t>& IntListViewOf(const void* view) {
-  return *static_cast<const std::vector<int64_t>*>(view);
+const IntColumn& ColumnOf(const void* view) {
+  return *static_cast<const IntColumn*>(view);
 }
 
 /// encode_view for the int-list views: the member, connectivity, BDS and
 /// interval Π (and the member Δ-patch) all write their payload with
-/// codec::EncodeInts, so re-encoding the decoded vector reproduces it
-/// byte for byte.
+/// codec::EncodeInts, so printing the column's values reproduces it byte
+/// for byte.
 Status EncodeIntListView(const void* view, std::string* out) {
-  codec::AppendInts(IntListViewOf(view), out);
+  ColumnOf(view).AppendTo(out);
   return Status::OK();
 }
 
 /// view_bytes for the int-list views: the make_shared block plus the
-/// vector's buffer.
+/// column's one buffer.
 size_t IntListViewBytes(const void* view) {
-  return MakeSharedHeapBytes<std::vector<int64_t>>() +
-         VectorHeapBytes(IntListViewOf(view));
+  return MakeSharedHeapBytes<IntColumn>() + ColumnOf(view).heap_bytes();
 }
 
 // ---------------------------------------------------------------------------
@@ -78,7 +79,8 @@ size_t IntListViewBytes(const void* view) {
 /// Branchless std::lower_bound: index of the first element >= key. The
 /// selects compile to conditional moves, so the probe loop carries no
 /// unpredictable branch.
-inline size_t BranchlessLowerBound(const int64_t* a, size_t n, int64_t key) {
+template <typename T>
+inline size_t BranchlessLowerBound(const T* a, size_t n, T key) {
   size_t lo = 0;
   size_t len = n;
   while (len > 0) {
@@ -124,33 +126,36 @@ Status DecodeIntPairQueryHook(const std::string& query, DecodedQuery* out,
 }
 
 /// Shared kernel shape of the two int-pair gather views (component labels,
-/// BDS ranks): gather two int64s per query, compare. `Compare` maps the
-/// gathered pair to the 0/1 answer.
+/// BDS ranks): gather two stored offsets per query, compare. `Compare`
+/// maps the gathered pair to the 0/1 answer; offsets compare as their
+/// values do, since the frame subtracts one base from both.
 /// `ops_per_probe` preserves each witness's per-query charge (two label
 /// reads for connectivity; Example 5's two binary searches for BDS).
 template <typename Compare>
-Status PairGatherKernel(const std::vector<int64_t>& values,
+Status PairGatherKernel(const IntColumn& column,
                         std::span<const DecodedQuery> queries,
                         std::span<uint8_t> answers, CostMeter* meter,
                         int64_t ops_per_probe, const char* range_error,
                         Compare compare) {
-  const int64_t* data = values.data();
-  const uint64_t n = values.size();
+  const uint64_t n = column.size();
   if (n == 0) {
     return queries.empty() ? Status::OK() : Status::OutOfRange(range_error);
   }
-  uint64_t bad = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    // Negative ids wrap to huge unsigned values, so one compare covers
-    // both range violations; violating gathers are clamped in-range (the
-    // whole batch fails below, the gathered value is never reported).
-    const uint64_t u = static_cast<uint64_t>(queries[i].a);
-    const uint64_t v = static_cast<uint64_t>(queries[i].b);
-    bad |= (u >= n) | (v >= n);
-    const size_t ui = u < n ? static_cast<size_t>(u) : 0;
-    const size_t vi = v < n ? static_cast<size_t>(v) : 0;
-    answers[i] = static_cast<uint8_t>(compare(data[ui], data[vi]));
-  }
+  const uint64_t bad = column.Visit([&](const auto* data) {
+    uint64_t bad = 0;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      // Negative ids wrap to huge unsigned values, so one compare covers
+      // both range violations; violating gathers are clamped in-range (the
+      // whole batch fails below, the gathered value is never reported).
+      const uint64_t u = static_cast<uint64_t>(queries[i].a);
+      const uint64_t v = static_cast<uint64_t>(queries[i].b);
+      bad |= (u >= n) | (v >= n);
+      const size_t ui = u < n ? static_cast<size_t>(u) : 0;
+      const size_t vi = v < n ? static_cast<size_t>(v) : 0;
+      answers[i] = static_cast<uint8_t>(compare(data[ui], data[vi]));
+    }
+    return bad;
+  });
   if (bad != 0) return Status::OutOfRange(range_error);
   ChargeBatch(meter, static_cast<int64_t>(queries.size()), ops_per_probe,
               /*bytes_per_probe=*/16);
@@ -390,9 +395,10 @@ PiWitness MemberWitness() {
     ncsim::ChargeBinarySearch(meter, static_cast<int64_t>(sorted->size()));
     return std::binary_search(sorted->begin(), sorted->end(), *e);
   };
-  // Decoded view: the sorted column as a typed vector. Batches pre-decode
-  // their elements and run branchless lower_bound probes over it, one
-  // charge per batch — no O(|Π(D)|) re-decode.
+  // Decoded view: the sorted column as an IntColumn. Batches pre-decode
+  // their elements, move each into the column's frame (a key outside
+  // [min, max] answers false) and run branchless lower_bound probes over
+  // the offsets, one charge per batch — no O(|Π(D)|) re-decode.
   w.deserialize = DeserializeIntListView;
   w.encode_view = EncodeIntListView;
   w.view_bytes = IntListViewBytes;
@@ -401,14 +407,17 @@ PiWitness MemberWitness() {
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
                            CostMeter* meter) -> Status {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    const int64_t* data = sorted.data();
+    const IntColumn& sorted = ColumnOf(view);
     const size_t n = sorted.size();
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const int64_t key = queries[i].a;
-      const size_t pos = BranchlessLowerBound(data, n, key);
-      answers[i] = static_cast<uint8_t>(pos < n && data[pos] == key);
-    }
+    sorted.Visit([&](const auto* data) {
+      using T = std::remove_cvref_t<decltype(*data)>;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        T key;
+        const bool in = sorted.Offset(queries[i].a, &key);
+        const size_t pos = BranchlessLowerBound(data, n, key);
+        answers[i] = static_cast<uint8_t>(in && pos < n && data[pos] == key);
+      }
+    });
     const int64_t ops = BinarySearchOps(n);
     ChargeBatch(meter, static_cast<int64_t>(queries.size()), ops, 8 * ops);
     return Status::OK();
@@ -457,9 +466,9 @@ PiWitness ConnWitness() {
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
                            CostMeter* meter) -> Status {
-    return PairGatherKernel(IntListViewOf(view), queries, answers, meter,
+    return PairGatherKernel(ColumnOf(view), queries, answers, meter,
                             /*ops_per_probe=*/2, "endpoint out of range",
-                            [](int64_t a, int64_t b) { return a == b; });
+                            [](auto a, auto b) { return a == b; });
   };
   return w;
 }
@@ -511,11 +520,11 @@ PiWitness BdsWitness() {
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
                            CostMeter* meter) -> Status {
-    const std::vector<int64_t>& rank = IntListViewOf(view);
+    const IntColumn& rank = ColumnOf(view);
     return PairGatherKernel(rank, queries, answers, meter,
                             /*ops_per_probe=*/2 * BinarySearchOps(rank.size()),
                             "node id out of range",
-                            [](int64_t a, int64_t b) { return a < b; });
+                            [](auto a, auto b) { return a < b; });
   };
   return w;
 }
@@ -857,21 +866,26 @@ PiWitness IntervalWitness() {
                            std::span<const DecodedQuery> queries,
                            std::span<uint8_t> answers,
                            CostMeter* meter) -> Status {
-    const std::vector<int64_t>& sorted = IntListViewOf(view);
-    const int64_t* data = sorted.data();
+    const IntColumn& sorted = ColumnOf(view);
     const size_t n = sorted.size();
     // Empty intervals answer false without a probe (and without a charge,
     // matching `answer`'s early-out), so count real probes separately.
     int64_t probes = 0;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const int64_t lo = queries[i].a;
-      const int64_t hi = queries[i].b;
-      const bool nonempty = lo <= hi;
-      probes += nonempty;
-      const size_t pos = BranchlessLowerBound(data, n, lo);
-      answers[i] =
-          static_cast<uint8_t>(nonempty && pos < n && data[pos] <= hi);
-    }
+    sorted.Visit([&](const auto* data) {
+      using T = std::remove_cvref_t<decltype(*data)>;
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const int64_t lo = queries[i].a;
+        const int64_t hi = queries[i].b;
+        const bool nonempty = lo <= hi;
+        probes += nonempty;
+        // Bounds clamped into [min, max] keep the probe's answer whenever
+        // the interval meets that range at all.
+        const bool meets = nonempty && lo <= sorted.max() && hi >= sorted.min();
+        const size_t pos = BranchlessLowerBound(data, n, sorted.Clamp<T>(lo));
+        answers[i] = static_cast<uint8_t>(meets && pos < n &&
+                                          data[pos] <= sorted.Clamp<T>(hi));
+      }
+    });
     const int64_t ops = BinarySearchOps(n);
     ChargeBatch(meter, probes, ops, /*bytes_per_probe=*/8 * ops);
     return Status::OK();

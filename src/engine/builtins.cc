@@ -136,21 +136,20 @@ Status RegisterBuiltins(QueryEngine* engine) {
       entry.prepared_size_of = [](const std::string& prepared) {
         return prepared.size() + PreparedStore::kEntryOverheadBytes;
       };
-      // Cost prior: the closure is the expensive-build/O(1)-answer
-      // extreme; the edge-scan alternative is the cheap-build/BFS-answer
-      // one. Small or cold parts select the scan, hot parts the closure —
-      // the trade bench_x6_adaptive measures end to end. The prior is a
-      // two-point fit of the charge of the old insert-by-insert build
-      // (affected-region propagation per edge) at |D| ≈ 1.4KB (≈6.3K ops)
-      // and |D| ≈ 7.2KB (≈193K ops): the negative base is the fit's
-      // intercept, clamped to 0 by BuildOps for parts below the fit's
-      // root. The condensation build now charges far less (≈3.1K ops at
-      // 256 nodes / 512 arcs), but the prior is kept on purpose: it
-      // decides which witness kAdaptive picks for cold parts, and
-      // refitting it is a cost-model change of its own.
-      entry.witness_descriptor.build_ops_base = -38000.0;
-      entry.witness_descriptor.build_ops_per_byte = 32.0;
-      entry.witness_descriptor.bytes_per_byte = 2.0;
+      // Cost prior: the closure is the dearer-build/O(1)-answer extreme;
+      // the edge-scan alternative is the cheap-build/BFS-answer one.
+      // Parts expected to see few queries select the scan, busier ones
+      // the closure — the trade bench_x6_adaptive measures end to end.
+      // The prior is a two-point fit of the SCC-condensation build on
+      // digraphs with 4n arcs at n = 64 (|D| ≈ 1.4KB: 438 ops charged,
+      // |Π| ≈ 3.0KB) and n = 256 (|D| ≈ 7.2KB: 3,314 ops, |Π| ≈ 24.5KB);
+      // the negative bases are the fits' intercepts, clamped to 0 below
+      // their roots. Both grow as n², so larger parts are under-priced
+      // (n = 1024: 38K ops charged, 15.7K fitted).
+      entry.witness_descriptor.build_ops_base = -265.0;
+      entry.witness_descriptor.build_ops_per_byte = 0.5;
+      entry.witness_descriptor.bytes_base = -2220.0;
+      entry.witness_descriptor.bytes_per_byte = 3.7;
       entry.witness_descriptor.answer_ops_base = 1.0;
       {
         WitnessAlternative scan;

@@ -483,6 +483,7 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
       prepared != nullptr ? BuildView(entry_options, prepared, meter)
                           : nullptr;
   std::shared_ptr<const void> serve = built;
+  EntryPtr served = entry;
   bool accounted = false;
   {
     Shard& shard = ShardFor(entry->key.digest);
@@ -497,6 +498,26 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
         // directly instead of re-running the failing decode per hit.
         entry->view_build_failed.store(true, std::memory_order_relaxed);
         return ServeOf(entry, nullptr);
+      } else if (entry_options.encode_view) {
+        // View-first witness: publish a hot clone holding only the view,
+        // exactly what admission keeps, and uncharge the payload. Readers
+        // of the old entry keep its payload alive; racing hits that decoded
+        // too find the clone resident and serve without publishing.
+        const size_t charge =
+            ViewCharge(entry_options, built, entry->payload_bytes);
+        EntryPtr hot = CloneWithoutPayloadOrView(*entry);
+        hot->encode_view = entry_options.encode_view;
+        hot->view = built;
+        hot->view_size_bytes.store(charge, std::memory_order_relaxed);
+        hot->view_ready.store(built.get(), std::memory_order_relaxed);
+        Table fresh = *table;
+        fresh[entry->key.digest] = hot;
+        bytes_.fetch_add(static_cast<int64_t>(charge) -
+                             static_cast<int64_t>(PayloadCharge(*entry)),
+                         std::memory_order_relaxed);
+        PublishTable(&shard, std::move(fresh));
+        served = std::move(hot);
+        accounted = true;
       } else {
         // Write-once publication: the plain field store below is the only
         // post-publication write `view` ever sees, and it happens-before
@@ -516,7 +537,7 @@ Result<PreparedStore::PreparedView> PreparedStore::RebuildViewLazily(
     // consistent, so serve it without publishing.
   }
   if (accounted) EvictUntilWithinBudget();
-  return ServeOf(entry, std::move(serve));
+  return ServeOf(std::move(served), std::move(serve));
 }
 
 Result<PreparedStore::PreparedView> PreparedStore::ServeHit(
@@ -1158,35 +1179,42 @@ int64_t PreparedStore::DemoteView(uint64_t digest, const EntryPtr& entry) {
   // makes the whole view free.
   const int64_t freed = DemotionFrees(*entry);
   if (freed <= 0) return 0;
-  EntryPtr warm = std::make_shared<Entry>();
-  warm->key = entry->key;
-  warm->prepared = std::move(payload);
-  warm->prepared_ready.store(warm->prepared.get(), std::memory_order_relaxed);
-  warm->payload_bytes = entry->payload_bytes;
   // view / view_ready stay null and view_build_failed false: the next hit
   // re-promotes hot through the existing lazy rebuild path.
-  warm->last_used.store(entry->last_used.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  warm->hit_count.store(entry->hit_count.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-  warm->size_bytes = entry->size_bytes;
-  warm->spillable = entry->spillable;
-  warm->view_loss_ops = entry->view_loss_ops;
-  warm->evict_loss_ops = entry->evict_loss_ops;
-  warm->version = entry->version;
-  warm->predecessor_digest = entry->predecessor_digest;
-  warm->has_predecessor = entry->has_predecessor;
-  warm->successor_digest.store(
-      entry->successor_digest.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  warm->superseded.store(entry->superseded.load(std::memory_order_acquire),
-                         std::memory_order_relaxed);
+  EntryPtr warm = CloneWithoutPayloadOrView(*entry);
+  warm->prepared = std::move(payload);
+  warm->prepared_ready.store(warm->prepared.get(), std::memory_order_relaxed);
   Table fresh = *table;
   fresh[digest] = warm;
   bytes_.fetch_sub(freed, std::memory_order_relaxed);
   PublishTable(&shard, std::move(fresh));
   LocalStats().view_demotions.fetch_add(1, std::memory_order_relaxed);
   return freed;
+}
+
+PreparedStore::EntryPtr PreparedStore::CloneWithoutPayloadOrView(
+    const Entry& entry) {
+  EntryPtr clone = std::make_shared<Entry>();
+  clone->key = entry.key;
+  clone->payload_bytes = entry.payload_bytes;
+  clone->last_used.store(entry.last_used.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  clone->hit_count.store(entry.hit_count.load(std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  clone->size_bytes = entry.size_bytes;
+  clone->spillable = entry.spillable;
+  clone->view_loss_ops = entry.view_loss_ops;
+  clone->evict_loss_ops = entry.evict_loss_ops;
+  clone->encode_view = entry.encode_view;
+  clone->version = entry.version;
+  clone->predecessor_digest = entry.predecessor_digest;
+  clone->has_predecessor = entry.has_predecessor;
+  clone->successor_digest.store(
+      entry.successor_digest.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+  clone->superseded.store(entry.superseded.load(std::memory_order_acquire),
+                          std::memory_order_relaxed);
+  return clone;
 }
 
 void PreparedStore::EvictUntilWithinBudget() {

@@ -804,9 +804,12 @@ class PreparedStore {
   Result<PreparedView> ServeHit(EntryPtr entry,
                                 const EntryOptions& entry_options,
                                 CostMeter* meter, bool* hit, bool locked);
-  /// Hit-path view repair (post-Load entries have no view yet): decodes
-  /// outside every lock, then publishes into the shared entry iff it is
-  /// still resident and nobody else won the publish race.
+  /// Hit-path view repair (a Loaded entry or a warm clone has no view):
+  /// decodes outside every lock, then publishes iff the entry is still
+  /// resident and nobody else won the publish race. A view-first witness
+  /// (EntryOptions::encode_view) re-promotes to a hot clone that holds
+  /// only the view, as admission does, and the payload's charge goes with
+  /// the payload; any other entry gets its view set in place.
   Result<PreparedView> RebuildViewLazily(const EntryPtr& entry,
                                          const EntryOptions& entry_options,
                                          CostMeter* meter);
@@ -831,6 +834,10 @@ class PreparedStore {
   /// nothing to free). Readers holding the old entry keep its view alive;
   /// the clone re-promotes through the lazy view rebuild on its next hit.
   int64_t DemoteView(uint64_t digest, const EntryPtr& entry);
+  /// A fresh, unpublished entry with `entry`'s key, sizes, options, MVCC
+  /// metadata, recency and hit state, and neither payload nor view: the
+  /// start of a demotion's warm clone or a re-promotion's hot one.
+  static EntryPtr CloneWithoutPayloadOrView(const Entry& entry);
   /// Cold-tier probe on the miss-winner path: reads the digest's v3 spill
   /// frame from the active spill directory, validates magic/version/
   /// checksum and the stored key, and returns the payload. Any failure —

@@ -15,6 +15,7 @@
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/cost_model.h"
+#include "engine/delta_hooks.h"
 #include "engine/engine.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -341,11 +342,33 @@ TEST(CostModelEngineTest, WitnessParityAcrossPolicies) {
                                                 "edge-scan", data));
 }
 
+TEST(CostModelEngineTest, AdaptiveStartsAColdPartOnTheClosureByDefault) {
+  // With no traffic seen, a cold part is expected to take 16 queries. The
+  // condensation build (≈ 440 ops here) then undercuts 16 BFS answers
+  // (≈ 58 ops each) on top of the scan's own build.
+  const std::string data = ReachData(64, 256, 1234);
+  auto adaptive = std::make_unique<QueryEngine>(PreparedStore::Options{});
+  ASSERT_TRUE(RegisterBuiltins(adaptive.get()).ok());
+  adaptive->cost_model().SetPolicy(CostModel::Policy::kAdaptive);
+  Rng rng(4322);
+  ASSERT_TRUE(adaptive
+                  ->AnswerBatch("graph-reachability", data,
+                                ReachQueries(64, 8, &rng))
+                  .ok());
+  EXPECT_EQ(adaptive->cost_model().ChoiceFor(
+                QueryEngine::PartFingerprint(data)),
+            0);
+  EXPECT_TRUE(adaptive->store().Contains("graph-reachability",
+                                         ReachClosureWitness().name, data));
+}
+
 TEST(CostModelEngineTest, AdaptiveUpgradesHotPartToFastWitness) {
-  // Sized so the closure's two-point fit prices its build well above zero
-  // (|D| past the fit root) while modest enough that the scan witness wins
-  // the cold-part score: the part must start on the cheap build and earn
-  // the closure through traffic alone.
+  // Sized so the closure's two-point fit prices its build above zero
+  // (|D| past the fit root). The closure then wins the cold-part score
+  // once ≈ 2 queries are expected, so the engine first serves eight other
+  // parts one query each: the cold prior (the model-wide average traffic)
+  // reads 1, the scan wins, and the part must earn the closure through
+  // its own traffic alone.
   const std::string data = ReachData(64, 256, 1234);
   ASSERT_GT(data.size(), 1250u);
   ASSERT_LT(data.size(), 1700u);
@@ -357,8 +380,16 @@ TEST(CostModelEngineTest, AdaptiveUpgradesHotPartToFastWitness) {
   ASSERT_TRUE(RegisterBuiltins(reference.get()).ok());
   reference->cost_model().ForceWitness(0);  // closure-always oracle
 
-  // The part starts cold on the edge-scan witness.
   Rng rng(4321);
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    ASSERT_TRUE(adaptive
+                    ->AnswerBatch("graph-reachability", ReachData(16, 32, seed),
+                                  ReachQueries(16, 1, &rng))
+                    .ok());
+  }
+  adaptive->store().ResetStats();
+
+  // The part starts cold on the edge-scan witness.
   {
     auto first = adaptive->AnswerBatch("graph-reachability", data,
                                        ReachQueries(64, 8, &rng));

@@ -32,6 +32,7 @@
 #include "common/codec.h"
 #include "common/cost_meter.h"
 #include "common/rng.h"
+#include "core/int_column.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/delta_hooks.h"
@@ -307,8 +308,13 @@ std::string RowOf(const Golden& g) {
 
 uint64_t ViewDigest(ViewKind kind, const core::PiViewPtr& view) {
   switch (kind) {
-    case ViewKind::kIntList:
-      return IntsDigest(*static_cast<const std::vector<int64_t>*>(view.get()));
+    case ViewKind::kIntList: {
+      // The column's int64 values, whatever width it stores them at.
+      const auto& column = *static_cast<const core::IntColumn*>(view.get());
+      std::vector<int64_t> values(column.size());
+      for (size_t i = 0; i < values.size(); ++i) values[i] = column[i];
+      return IntsDigest(values);
+    }
     case ViewKind::kClosure:
       return Fnv1a64(
           static_cast<const incremental::IncrementalTransitiveClosure*>(

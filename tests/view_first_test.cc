@@ -3,9 +3,10 @@
 // payload is produced from it on demand. These tests pin what that costs
 // and where: warm batches never encode, every Spill encodes each such
 // entry once, the string answer path memoizes one shared copy, a hot→warm
-// demotion carries the encoded payload into the warm clone, and the byte
-// ledger charges each view its real heap bytes (an alias of the payload
-// charges none).
+// demotion carries the encoded payload into the warm clone, a re-promotion
+// drops it again, a view smaller than its payload is never demoted, and
+// the byte ledger charges each view its real heap bytes (an alias of the
+// payload charges none).
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,8 @@
 #include <vector>
 
 #include "circuit/generators.h"
+#include "common/codec.h"
+#include "common/heap_bytes.h"
 #include "common/rng.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
@@ -97,6 +100,59 @@ std::vector<bool> Expected(const MemberPart& part,
                                          part.sorted.end(), std::stoll(q)));
   }
   return answers;
+}
+
+/// A view-first witness whose view outweighs its payload: the member
+/// witness with its sorted column held as a std::vector<int64_t>, 8 bytes
+/// a value (the builtin narrows it to 2 or 4 bytes here, which is smaller
+/// than the payload's text and so is never demoted).
+core::PiWitness WideMemberWitness() {
+  using Column = std::vector<int64_t>;
+  core::PiWitness w = core::MemberWitness();
+  w.name = "wide-sorted-column";
+  w.deserialize = [](const std::shared_ptr<const std::string>& prepared,
+                     CostMeter*) -> Result<core::PiViewPtr> {
+    auto values = codec::DecodeInts(*prepared);
+    if (!values.ok()) return values.status();
+    return core::PiViewPtr(
+        std::make_shared<const Column>(std::move(values).value()));
+  };
+  w.encode_view = [](const void* view, std::string* out) {
+    codec::AppendInts(*static_cast<const Column*>(view), out);
+    return Status::OK();
+  };
+  w.view_bytes = [](const void* view) {
+    return MakeSharedHeapBytes<Column>() +
+           VectorHeapBytes(*static_cast<const Column*>(view));
+  };
+  w.answer_view_batch = [](const void* view,
+                           std::span<const core::DecodedQuery> queries,
+                           std::span<uint8_t> answers, CostMeter*) {
+    const Column& sorted = *static_cast<const Column*>(view);
+    for (size_t i = 0; i < queries.size(); ++i) {
+      answers[i] = std::binary_search(sorted.begin(), sorted.end(),
+                                      queries[i].a);
+    }
+    return Status::OK();
+  };
+  return w;
+}
+
+constexpr const char* kWide = "wide-member";
+
+/// An engine with the builtins plus `kWide`: list membership answered
+/// through WideMemberWitness.
+std::unique_ptr<QueryEngine> MakeWideEngine(
+    const PreparedStore::Options& options = {}) {
+  auto engine = MakeEngine(options);
+  ProblemEntry entry;
+  entry.name = kWide;
+  entry.has_language = true;
+  entry.problem = core::ListMembershipProblem();
+  entry.factorization = core::MemberFactorization();
+  entry.witness = WideMemberWitness();
+  EXPECT_TRUE(engine->Register(std::move(entry)).ok());
+  return engine;
 }
 
 /// The resident entry behind `handle`, probed through TryGetView (one
@@ -275,10 +331,10 @@ TEST(ViewFirstStoreTest, DemotionCarriesTheEncodedPayloadIntoTheWarmClone) {
   const std::vector<std::string> queries = MemberQueries(&rng, 20000, 64);
 
   // Measure the hot entries in an unbounded store, and their frames.
-  auto unbounded = MakeEngine();
+  auto unbounded = MakeWideEngine();
   std::vector<DataHandle> handles;
   for (const MemberPart& part : parts) {
-    handles.push_back(unbounded->Intern("list-membership", part.data).value());
+    handles.push_back(unbounded->Intern(kWide, part.data).value());
     ASSERT_TRUE(unbounded->AnswerBatch(handles.back(), queries).ok());
   }
   const size_t hot = unbounded->store().bytes_resident();
@@ -295,9 +351,9 @@ TEST(ViewFirstStoreTest, DemotionCarriesTheEncodedPayloadIntoTheWarmClone) {
   PreparedStore::Options options;
   options.byte_budget = (warm + hot) / 2;
   options.tiered = true;
-  auto engine = MakeEngine(options);
+  auto engine = MakeWideEngine(options);
   for (size_t i = 0; i < parts.size(); ++i) {
-    auto batch = engine->AnswerBatch("list-membership", parts[i].data, queries);
+    auto batch = engine->AnswerBatch(kWide, parts[i].data, queries);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
     EXPECT_EQ(batch->answers, Expected(parts[i], queries));
   }
@@ -313,7 +369,7 @@ TEST(ViewFirstStoreTest, DemotionCarriesTheEncodedPayloadIntoTheWarmClone) {
   EXPECT_EQ(Frames(after), Frames(before));
   // ...and answer the same, re-promoting through the lazy view rebuild.
   for (size_t i = 0; i < parts.size(); ++i) {
-    auto batch = engine->AnswerBatch("list-membership", parts[i].data, queries);
+    auto batch = engine->AnswerBatch(kWide, parts[i].data, queries);
     ASSERT_TRUE(batch.ok());
     EXPECT_EQ(batch->prepare_runs, 0);
     EXPECT_EQ(batch->answers, Expected(parts[i], queries));
@@ -321,6 +377,161 @@ TEST(ViewFirstStoreTest, DemotionCarriesTheEncodedPayloadIntoTheWarmClone) {
   EXPECT_LE(engine->store().bytes_resident(), options.byte_budget);
   fs::remove_all(before);
   fs::remove_all(after);
+}
+
+/// What each of `handles` charges under witness `w`: key + view + overhead
+/// while hot (no payload held), key + |Π| + overhead while warm.
+struct Charges {
+  std::vector<size_t> hot;
+  std::vector<size_t> warm;
+};
+
+Charges ChargesOf(const core::PiWitness& w,
+                  const std::vector<DataHandle>& handles) {
+  Charges charges;
+  for (const DataHandle& handle : handles) {
+    const std::string payload = w.preprocess(*handle.data, nullptr).value();
+    auto view =
+        w.deserialize(std::make_shared<const std::string>(payload), nullptr);
+    const size_t fixed =
+        handle.key.size() + PreparedStore::kEntryOverheadBytes;
+    charges.hot.push_back(fixed + w.view_bytes(view->get()));
+    charges.warm.push_back(fixed + payload.size());
+  }
+  return charges;
+}
+
+TEST(ViewFirstStoreTest, RePromotionHoldsOnlyTheView) {
+  // A warm clone that is hit again goes back to hot as a view-first
+  // entry: the view, no payload, and the ledger charges exactly that.
+  Rng rng(36);
+  const std::vector<MemberPart> parts = {MakeMemberPart(&rng, 20000),
+                                         MakeMemberPart(&rng, 20000)};
+  const std::vector<std::string> queries = MemberQueries(&rng, 20000, 64);
+  auto sizing = MakeWideEngine();
+  std::vector<DataHandle> handles;
+  for (const MemberPart& part : parts) {
+    handles.push_back(sizing->Intern(kWide, part.data).value());
+  }
+  const Charges charges = ChargesOf(WideMemberWitness(), handles);
+  ASSERT_GT(charges.hot[0], charges.warm[0]) << "the view must outweigh |Π|";
+
+  // One hot and one warm entry fit; two hot ones do not.
+  PreparedStore::Options options;
+  options.byte_budget = std::max(charges.hot[0] + charges.warm[1],
+                                 charges.hot[1] + charges.warm[0]) +
+                        64;
+  ASSERT_LT(options.byte_budget, charges.hot[0] + charges.hot[1]);
+  options.tiered = true;
+  auto engine = MakeWideEngine(options);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    handles[i] = engine->Intern(kWide, parts[i].data).value();
+  }
+  // Entry 0 is hit before entry 1 arrives, so its CLOCK bit spares it
+  // and the admission sweep demotes entry 1.
+  for (size_t i : {0, 0, 1}) {
+    auto batch = engine->AnswerBatch(handles[i], queries);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    EXPECT_EQ(batch->answers, Expected(parts[i], queries));
+  }
+  ASSERT_EQ(engine->store().stats().view_demotions, 1);
+  ASSERT_EQ(ViewOf(engine.get(), handles[1]).view, nullptr);
+
+  // Hitting the warm clone re-promotes it, and entry 0 (no CLOCK bit now)
+  // is demoted to make room. At view + key + overhead, the re-promoted
+  // entry then fits beside the warm one; had it kept its payload as well,
+  // the sweep would have had to demote it again.
+  auto batch = engine->AnswerBatch(handles[1], queries);
+  ASSERT_TRUE(batch.ok());
+  EXPECT_EQ(batch->prepare_runs, 0);
+  EXPECT_EQ(batch->answers, Expected(parts[1], queries));
+  const PreparedStore::PreparedView promoted = ViewOf(engine.get(), handles[1]);
+  ASSERT_NE(promoted.view, nullptr);
+  EXPECT_EQ(promoted.prepared, nullptr) << "the payload is held a second time";
+  EXPECT_EQ(ViewOf(engine.get(), handles[0]).view, nullptr);
+  const PreparedStore::Stats stats = engine->store().stats();
+  EXPECT_EQ(stats.view_demotions, 2);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(engine->store().bytes_resident(),
+            charges.hot[1] + charges.warm[0]);
+}
+
+TEST(ViewFirstStoreTest, ALoadedEntryRePromotesHoldingOnlyTheView) {
+  // Spill frames carry only the payload: the first warm hit after Load
+  // builds the view and, for a view-first witness, drops the payload.
+  Rng rng(37);
+  std::vector<MemberPart> parts;
+  for (int i = 0; i < 3; ++i) parts.push_back(MakeMemberPart(&rng, 8000));
+  const std::vector<std::string> queries = MemberQueries(&rng, 8000, 64);
+  auto first = MakeWideEngine();
+  std::vector<DataHandle> handles;
+  for (const MemberPart& part : parts) {
+    handles.push_back(first->Intern(kWide, part.data).value());
+    ASSERT_TRUE(first->AnswerBatch(handles.back(), queries).ok());
+  }
+  const std::string dir = UniqueTempDir("reload");
+  ASSERT_TRUE(first->store().Spill(dir).ok());
+
+  auto restarted = MakeWideEngine();
+  ASSERT_EQ(restarted->store().Load(dir).value(), parts.size());
+  const Charges charges = ChargesOf(WideMemberWitness(), handles);
+  size_t expected = 0;
+  for (size_t i = 0; i < parts.size(); ++i) {
+    handles[i] = restarted->Intern(kWide, parts[i].data).value();
+    auto batch = restarted->AnswerBatch(handles[i], queries);
+    ASSERT_TRUE(batch.ok());
+    EXPECT_EQ(batch->prepare_runs, 0);
+    EXPECT_EQ(batch->answers, Expected(parts[i], queries));
+    const PreparedStore::PreparedView view =
+        ViewOf(restarted.get(), handles[i]);
+    ASSERT_NE(view.view, nullptr);
+    EXPECT_EQ(view.prepared, nullptr) << "the payload is held a second time";
+    expected += charges.hot[i];
+  }
+  EXPECT_EQ(restarted->store().bytes_resident(), expected);
+  // The re-promoted entries still spill the same frames.
+  const std::string again = UniqueTempDir("respill");
+  ASSERT_TRUE(restarted->store().Spill(again).ok());
+  EXPECT_EQ(Frames(again), Frames(dir));
+  fs::remove_all(dir);
+  fs::remove_all(again);
+}
+
+TEST(ViewFirstStoreTest, NarrowMemberViewsAreEvictedNotDemoted) {
+  // The builtin member view stores 2- or 4-byte offsets, fewer bytes than
+  // the payload's text, so demoting it would grow the entry: byte
+  // pressure evicts instead, and nothing is encoded for a warm clone.
+  Rng rng(38);
+  std::vector<MemberPart> parts;
+  for (int i = 0; i < 4; ++i) parts.push_back(MakeMemberPart(&rng, 20000));
+  const std::vector<std::string> queries = MemberQueries(&rng, 20000, 64);
+  auto sizing = MakeEngine();
+  std::vector<DataHandle> handles;
+  for (const MemberPart& part : parts) {
+    handles.push_back(sizing->Intern("list-membership", part.data).value());
+  }
+  const Charges charges = ChargesOf(core::MemberWitness(), handles);
+  for (size_t i = 0; i < parts.size(); ++i) {
+    ASSERT_LT(charges.hot[i], charges.warm[i]) << "a narrow view is smaller";
+  }
+
+  PreparedStore::Options options;
+  options.byte_budget = charges.hot[0] + charges.hot[1] + charges.hot[2];
+  options.tiered = true;
+  auto engine = MakeEngine(options);
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < parts.size(); ++i) {
+      auto batch =
+          engine->AnswerBatch("list-membership", parts[i].data, queries);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      EXPECT_EQ(batch->answers, Expected(parts[i], queries));
+    }
+  }
+  const PreparedStore::Stats stats = engine->store().stats();
+  EXPECT_EQ(stats.view_demotions, 0);
+  EXPECT_GT(stats.evictions, 0);
+  EXPECT_EQ(stats.payload_encodes, 0);
+  EXPECT_LE(engine->store().bytes_resident(), options.byte_budget);
 }
 
 /// Store-level view-first options over a toy view: a copy of the payload

@@ -7,6 +7,7 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
@@ -16,7 +17,10 @@
 #include <vector>
 
 #include "circuit/generators.h"
+#include "common/codec.h"
+#include "common/heap_bytes.h"
 #include "common/rng.h"
+#include "core/int_column.h"
 #include "core/problems.h"
 #include "engine/builtins.h"
 #include "engine/engine.h"
@@ -181,6 +185,44 @@ TEST(ViewFootprintTest, EveryBuiltinViewReportsItsHeapBytes) {
   // graph-reachability ×2, cvp-refactorized, cvp-nand-eval, cvp-via-nand:
   // 12 witnesses, two parts each.
   EXPECT_EQ(views, 24);
+}
+
+TEST(ViewFootprintTest, EveryIntColumnWidthReportsItsHeapBytes) {
+  // The int-list views hold their values at 2, 4 or 8 bytes, by the range
+  // of the data: one member view per width, each charged the make_shared
+  // block plus its one exact-size buffer.
+  const core::PiWitness w = core::MemberWitness();
+  const bool measured = HeapStatisticsWork();
+  Rng rng(4343);
+  constexpr size_t kValues = 40000;
+  for (size_t width : {2, 4, 8}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    std::vector<int64_t> values;
+    for (size_t i = 0; i < kValues; ++i) {
+      values.push_back(width == 2   ? rng.NextInRange(-30000, 30000)
+                       : width == 4 ? rng.NextInRange(-(1 << 30), 1 << 30)
+                                    : static_cast<int64_t>(rng.Next()));
+    }
+    std::sort(values.begin(), values.end());
+    auto payload =
+        std::make_shared<const std::string>(codec::EncodeInts(values));
+    auto warmup = w.deserialize(payload, nullptr);
+    ASSERT_TRUE(warmup.ok());
+    const size_t before = HeapInUse();
+    auto view = w.deserialize(payload, nullptr);
+    const size_t after = HeapInUse();
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    EXPECT_EQ(static_cast<const core::IntColumn*>(view->get())->width(),
+              width);
+    const size_t reported = w.view_bytes(view->get());
+    EXPECT_EQ(reported, MakeSharedHeapBytes<core::IntColumn>() +
+                            HeapChunkBytes(kValues * width));
+    if (!measured) continue;
+    const int64_t heap = static_cast<int64_t>(after - before);
+    EXPECT_LE(std::abs(static_cast<int64_t>(reported) - heap),
+              4096 + heap / 64)
+        << "reported " << reported << " B, heap grew " << heap << " B";
+  }
 }
 
 }  // namespace
