@@ -6,6 +6,7 @@
 #include <bit>
 #include <charconv>
 #include <cstring>
+#include <limits>
 
 #include "common/parallel.h"
 
@@ -33,11 +34,18 @@ size_t DecimalLength(int64_t v) {
 }
 
 /// Parses the ','-separated tokens of [p, end) into out[0..]; false on a
-/// malformed token. An empty range is one (malformed) empty token.
-bool ParseInts(const char* p, const char* end, int64_t* out) {
+/// malformed token. An empty range is one (malformed) empty token. With
+/// `bounds`, folds each parsed value into it as it lands.
+bool ParseInts(const char* p, const char* end, int64_t* out,
+               IntBounds* bounds) {
   while (true) {
-    const auto [ptr, ec] = std::from_chars(p, end, *out++);
+    const auto [ptr, ec] = std::from_chars(p, end, *out);
     if (ec != std::errc() || (ptr != end && *ptr != ',')) return false;
+    if (bounds != nullptr) {
+      bounds->min = std::min(bounds->min, *out);
+      bounds->max = std::max(bounds->max, *out);
+    }
+    ++out;
     if (ptr == end) return true;
     p = ptr + 1;
   }
@@ -161,23 +169,36 @@ namespace {
 /// it, `place(total)` hands back where the whole text goes, and to_chars
 /// writes straight into place. The sum wraps in uint64_t, so a raw int64
 /// column prints with base 0 and an offset column as base + offset.
-template <typename T, typename Place>
-void PrintInts(int64_t base, const T* v, size_t n, Place place) {
-  auto value = [base, v](size_t i) {
-    return static_cast<int64_t>(static_cast<uint64_t>(base) +
-                                static_cast<uint64_t>(v[i]));
-  };
-  const size_t chunks = parallel::ChunksFor(n);
+template <typename T>
+int64_t ValueAt(int64_t base, const T* v, size_t i) {
+  return static_cast<int64_t>(static_cast<uint64_t>(base) +
+                              static_cast<uint64_t>(v[i]));
+}
+
+/// The sizing pass: where each of `chunks` even chunks of the values
+/// starts in the printed text, and (last) the text's size.
+template <typename T>
+std::vector<size_t> TextOffsets(int64_t base, const T* v, size_t n,
+                                size_t chunks) {
   auto begin = [n, chunks](size_t c) { return c * n / chunks; };
   std::vector<size_t> offset(chunks + 1, 0);
   parallel::Run(chunks, [&](size_t c) {
     size_t size = 0;
     for (size_t i = begin(c), end = begin(c + 1); i < end; ++i) {
-      size += DecimalLength(value(i)) + (i > 0 ? 1 : 0);
+      size += DecimalLength(ValueAt(base, v, i)) + (i > 0 ? 1 : 0);
     }
     offset[c + 1] = size;
   });
   for (size_t c = 0; c < chunks; ++c) offset[c + 1] += offset[c];
+  return offset;
+}
+
+template <typename T, typename Place>
+void PrintInts(int64_t base, const T* v, size_t n, Place place) {
+  auto value = [base, v](size_t i) { return ValueAt(base, v, i); };
+  const size_t chunks = parallel::ChunksFor(n);
+  auto begin = [n, chunks](size_t c) { return c * n / chunks; };
+  const std::vector<size_t> offset = TextOffsets(base, v, n, chunks);
   char* const text = place(offset[chunks]);
   parallel::Run(chunks, [&](size_t c) {
     char* p = text + offset[c];
@@ -187,6 +208,13 @@ void PrintInts(int64_t base, const T* v, size_t n, Place place) {
       p = std::to_chars(p, end, value(i)).ptr;
     }
   });
+}
+
+/// The size of the text PrintInts prints.
+template <typename T>
+size_t TextSize(int64_t base, std::span<const T> v) {
+  return TextOffsets(base, v.data(), v.size(), parallel::ChunksFor(v.size()))
+      .back();
 }
 
 /// PrintInts appending to `*out`.
@@ -224,7 +252,21 @@ void AppendInts(int64_t base, std::span<const uint32_t> offsets,
   AppendPrinted(base, offsets, out);
 }
 
-Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
+size_t EncodedIntsSize(std::span<const int64_t> values) {
+  return TextSize(0, values);
+}
+
+size_t EncodedIntsSize(int64_t base, std::span<const uint16_t> offsets) {
+  return TextSize(base, offsets);
+}
+
+size_t EncodedIntsSize(int64_t base, std::span<const uint32_t> offsets) {
+  return TextSize(base, offsets);
+}
+
+Result<std::vector<int64_t>> DecodeInts(std::string_view encoded,
+                                        IntBounds* bounds) {
+  if (bounds != nullptr) *bounds = IntBounds{};
   if (encoded.empty()) return std::vector<int64_t>{};
   // Cut the text just past a ',' near each of `chunks` even splits, so
   // chunk c is [start[c], start[c + 1]) and all but the last end in ','.
@@ -252,10 +294,16 @@ Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
   });
   for (size_t c = 0; c < cuts; ++c) first[c + 1] += first[c];
   std::vector<int64_t> values(first[cuts]);
+  // Each chunk folds its own bounds while parsing; they merge below.
+  std::vector<IntBounds> chunk_bounds(
+      bounds != nullptr ? cuts : 0,
+      IntBounds{std::numeric_limits<int64_t>::max(),
+                std::numeric_limits<int64_t>::min()});
   std::atomic<bool> malformed{false};
   parallel::Run(cuts, [&](size_t c) {
     const char* end = data + start[c + 1] - (c + 1 == cuts ? 0 : 1);
-    if (!ParseInts(data + start[c], end, values.data() + first[c])) {
+    if (!ParseInts(data + start[c], end, values.data() + first[c],
+                   bounds != nullptr ? &chunk_bounds[c] : nullptr)) {
       malformed.store(true, std::memory_order_relaxed);
     }
   });
@@ -263,6 +311,13 @@ Result<std::vector<int64_t>> DecodeInts(std::string_view encoded) {
     // The serial decoder names the first malformed token.
     std::vector<int64_t> unused;
     return DecodeIntsInto(encoded, &unused);
+  }
+  if (bounds != nullptr) {
+    *bounds = chunk_bounds[0];
+    for (const IntBounds& chunk : chunk_bounds) {
+      bounds->min = std::min(bounds->min, chunk.min);
+      bounds->max = std::max(bounds->max, chunk.max);
+    }
   }
   return values;
 }

@@ -60,11 +60,25 @@ void AppendInts(int64_t base, std::span<const uint16_t> offsets,
 void AppendInts(int64_t base, std::span<const uint32_t> offsets,
                 std::string* out);
 
+/// The bytes AppendInts appends for the same values, counted without
+/// printing them.
+size_t EncodedIntsSize(std::span<const int64_t> values);
+size_t EncodedIntsSize(int64_t base, std::span<const uint16_t> offsets);
+size_t EncodedIntsSize(int64_t base, std::span<const uint32_t> offsets);
+
+/// The smallest and largest value of an int list ({0, 0} when empty).
+struct IntBounds {
+  int64_t min = 0;
+  int64_t max = 0;
+};
+
 /// Inverse of EncodeInts. Fails on malformed numerals. Above
 /// parallel::kGrain bytes the text is cut at commas and the chunks are
 /// counted and decoded on the fork-join pool; a malformed token gets the
-/// same Status as from DecodeIntsInto.
-Result<std::vector<int64_t>> DecodeInts(std::string_view encoded);
+/// same Status as from DecodeIntsInto. With `bounds`, also sets the
+/// values' bounds, folded into the parse.
+Result<std::vector<int64_t>> DecodeInts(std::string_view encoded,
+                                        IntBounds* bounds = nullptr);
 
 /// DecodeFieldsView-style span decoder for the hot int-list payloads:
 /// parses `encoded` straight into `*out` (cleared first, capacity kept), so

@@ -1,8 +1,6 @@
 #include "core/int_column.h"
 
 #include <type_traits>
-#include <utility>
-#include <vector>
 
 #include "common/codec.h"
 #include "common/heap_bytes.h"
@@ -11,32 +9,19 @@
 namespace pitract {
 namespace core {
 
-IntColumn::IntColumn(std::span<const int64_t> values) : size_(values.size()) {
+IntColumn::IntColumn(std::span<const int64_t> values, int64_t min,
+                     int64_t max)
+    : size_(values.size()) {
   const size_t n = values.size();
   if (n == 0) return;
-  const size_t chunks = parallel::ChunksFor(n);
-  auto begin = [n, chunks](size_t c) { return c * n / chunks; };
-  const int64_t* const v = values.data();
-
-  std::vector<std::pair<int64_t, int64_t>> bounds(chunks);
-  parallel::Run(chunks, [&](size_t c) {
-    int64_t lo = v[begin(c)];
-    int64_t hi = lo;
-    for (size_t i = begin(c) + 1, end = begin(c + 1); i < end; ++i) {
-      lo = std::min(lo, v[i]);
-      hi = std::max(hi, v[i]);
-    }
-    bounds[c] = {lo, hi};
-  });
-  min_ = bounds[0].first;
-  max_ = bounds[0].second;
-  for (const auto& [lo, hi] : bounds) {
-    min_ = std::min(min_, lo);
-    max_ = std::max(max_, hi);
-  }
+  min_ = min;
+  max_ = max;
   const uint64_t range = max_offset();
   width_ = range <= UINT16_MAX ? 2 : range <= UINT32_MAX ? 4 : 8;
 
+  const size_t chunks = parallel::ChunksFor(n);
+  auto begin = [n, chunks](size_t c) { return c * n / chunks; };
+  const int64_t* const v = values.data();
   data_.reset(::operator new(n * width_));
   auto narrow = [&](auto* out) {
     parallel::Run(chunks, [&](size_t c) {
@@ -66,6 +51,18 @@ void IntColumn::AppendTo(std::string* out) const {
       codec::AppendInts(std::span<const int64_t>(data, size_), out);
     } else {
       codec::AppendInts(BaseOf<T>(), std::span<const T>(data, size_), out);
+    }
+  });
+}
+
+size_t IntColumn::EncodedSize() const {
+  return Visit([this](const auto* data) {
+    using T = std::remove_cvref_t<decltype(*data)>;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return codec::EncodedIntsSize(std::span<const int64_t>(data, size_));
+    } else {
+      return codec::EncodedIntsSize(BaseOf<T>(),
+                                    std::span<const T>(data, size_));
     }
   });
 }

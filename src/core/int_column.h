@@ -31,9 +31,12 @@ class IntColumn {
  public:
   /// An empty column (width 2, no buffer).
   IntColumn() = default;
-  /// The column of `values`, in order. The min/max pass and the narrowing
-  /// copy run on the fork-join pool above parallel::kGrain values.
-  explicit IntColumn(std::span<const int64_t> values);
+  /// The column of `values`, in order, whose smallest and largest are
+  /// `min` and `max` (ignored when empty). Callers know them without a
+  /// pass of their own: a sorted list's ends, labels 0…k−1, a parse that
+  /// folded them in. The narrowing copy runs on the fork-join pool above
+  /// parallel::kGrain values.
+  IntColumn(std::span<const int64_t> values, int64_t min, int64_t max);
 
   size_t size() const { return size_; }
   /// Bytes per stored value: 2, 4 or 8.
@@ -85,6 +88,8 @@ class IntColumn {
   /// from the offsets: byte-identical to the payload the column was
   /// decoded from.
   void AppendTo(std::string* out) const;
+  /// The bytes AppendTo appends, counted without printing.
+  size_t EncodedSize() const;
 
  private:
   struct FreeBuffer {

@@ -3,6 +3,17 @@
 namespace pitract {
 namespace core {
 
+std::function<Result<std::string>(const std::string& data, CostMeter*)>
+EncodedPreprocess(const PiWitness& w) {
+  return [preprocess_view = w.preprocess_view, encode_view = w.encode_view](
+             const std::string& data, CostMeter* meter) -> Result<std::string> {
+    PITRACT_ASSIGN_OR_RETURN(PiViewPtr view, preprocess_view(data, meter));
+    std::string payload;
+    PITRACT_RETURN_IF_ERROR(encode_view(view.get(), &payload));
+    return payload;
+  };
+}
+
 Status VerifyWitnessOnInstance(const LanguageOfPairs& s, const PiWitness& w,
                                const std::string& x) {
   auto expected = s.problem().contains(x);
@@ -39,8 +50,10 @@ PiWitness ApplyRewriting(const QueryRewriter& rewriter,
   // The decoded view is a property of Π(D) alone, so it survives query
   // rewriting unchanged; only the query side maps through λ.
   if (base.has_view()) {
+    w.preprocess_view = base.preprocess_view;
     w.deserialize = base.deserialize;
     w.encode_view = base.encode_view;
+    w.encoded_size = base.encoded_size;
     w.view_bytes = base.view_bytes;
   }
   if (base.answer_view) {

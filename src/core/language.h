@@ -69,12 +69,27 @@ struct DecodedQuery {
 /// PTIME preprocessing function Π and a language S′ decidable in NC, given
 /// here as an `answer` function over (Π(D), Q).
 ///
-/// Cost-accounting contract: `preprocess` charges its full PTIME work;
-/// `answer` charges only the *conceptual probe cost* of S′-membership (e.g.
-/// the two binary searches of Example 5) — string decode overhead is
-/// harness bookkeeping and is excluded, since a deployed engine would hold
-/// the preprocessed structure in memory (the typed cases in core/cases.h
-/// measure exactly that deployed form).
+/// Cost-accounting contract: Π (`preprocess`, and `preprocess_view` where
+/// set) charges its full PTIME work; `answer` charges only the
+/// *conceptual probe cost* of S′-membership (e.g. the two binary searches
+/// of Example 5) — string decode overhead is harness bookkeeping and is
+/// excluded, since a deployed engine would hold the preprocessed structure
+/// in memory (the typed cases in core/cases.h measure exactly that
+/// deployed form).
+///
+/// Π has one or two faces:
+///
+///  * `preprocess` — Π(D) as a Σ* string. Always set.
+///  * `preprocess_view` — optional: Π itself, returning the typed view that
+///    `deserialize` would build from Π(D), with no Σ* string printed or
+///    parsed. A witness that sets it defines its Π here, sets
+///    `encode_view` and `encoded_size`, and sets `preprocess` to
+///    EncodedPreprocess(*this): one Π, so the two faces agree byte for
+///    byte, charge the same work, and fail with the same Status. A serving
+///    store admits such a view directly (view-first, no payload, no
+///    `deserialize`). A witness derived by copying one that sets it, and
+///    that changes the view's type (other `deserialize` / answer hooks),
+///    must reset it.
 ///
 /// A witness has at most three answer faces:
 ///
@@ -83,7 +98,7 @@ struct DecodedQuery {
 ///  * `decode_query` + `answer_view_batch` — the warm path for numeric
 ///    queries: each query of a batch is decoded once into its DecodedQuery
 ///    form, then one kernel call answers the whole span against the
-///    decoded view `deserialize` built.
+///    decoded view (`deserialize` or `preprocess_view` built it).
 ///  * `answer_view` — the per-query view face, only for witnesses whose
 ///    queries are not numeric (a circuit assignment has no DecodedQuery
 ///    form), so they still skip the per-query Π(D) re-decode.
@@ -92,6 +107,10 @@ struct PiWitness {
   /// Π: data part -> preprocessed structure D′ (string-encoded).
   std::function<Result<std::string>(const std::string& data, CostMeter*)>
       preprocess;
+  /// Optional Π straight to the decoded view (see above):
+  /// encode_view(preprocess_view(D)) == preprocess(D).
+  std::function<Result<PiViewPtr>(const std::string& data, CostMeter*)>
+      preprocess_view;
   /// S′ membership: ⟨Π(D), Q⟩ -> bool.
   std::function<Result<bool>(const std::string& preprocessed,
                              const std::string& query, CostMeter*)>
@@ -103,9 +122,9 @@ struct PiWitness {
   /// arrives as the cache's shared_ptr, so a deserializer whose
   /// "structure" is the payload itself may alias it copy-free (the GVP
   /// bitmap does). The view passed to the answerers below is always one
-  /// produced by this witness's `deserialize`. Engines fall back to the
-  /// string `answer` path whenever a view build fails, so views are a pure
-  /// optimization.
+  /// produced by this witness's `deserialize` or `preprocess_view`.
+  /// Engines fall back to the string `answer` path whenever a view build
+  /// fails, so views are a pure optimization.
   std::function<Result<PiViewPtr>(
       const std::shared_ptr<const std::string>& preprocessed, CostMeter*)>
       deserialize;
@@ -116,6 +135,10 @@ struct PiWitness {
   /// a view keeps only the view and encodes the payload when it is asked
   /// for (the string `answer`, a spill frame, a Δ-patch).
   std::function<Status(const void* view, std::string* out)> encode_view;
+  /// Optional, set with `preprocess_view`: the bytes encode_view appends
+  /// for `view`, counted without encoding (|Π(D)| of a directly built
+  /// view).
+  std::function<size_t(const void* view)> encoded_size;
   /// Optional heap footprint of a view `deserialize` built, in bytes
   /// (0 for a view that aliases the payload). Unset: a store charges the
   /// view |Π(D)| bytes as a proxy.
@@ -157,6 +180,13 @@ struct PiWitness {
             static_cast<bool>(answer_view_batch));
   }
 
+  /// True when Π can hand a store its view directly: `preprocess_view`
+  /// plus the encoder and size hook a view-first entry needs.
+  bool builds_view() const {
+    return has_view() && static_cast<bool>(preprocess_view) &&
+           static_cast<bool>(encode_view) && static_cast<bool>(encoded_size);
+  }
+
   /// True when a whole pre-decoded batch can be answered by one
   /// `answer_view_batch` call.
   bool has_batch_kernel() const {
@@ -164,6 +194,12 @@ struct PiWitness {
            static_cast<bool>(answer_view_batch);
   }
 };
+
+/// The string face of a witness whose Π builds its view directly:
+/// preprocess = encode_view ∘ preprocess_view, over the two hooks as they
+/// are set on `w` now.
+std::function<Result<std::string>(const std::string& data, CostMeter*)>
+EncodedPreprocess(const PiWitness& w);
 
 /// End-to-end check of Definition 1 on one instance: x ∈ L must equal
 /// answer(Π(π₁(x)), π₂(x)).

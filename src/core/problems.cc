@@ -32,15 +32,22 @@ Result<std::vector<std::string>> DecodeExactly(const std::string& x,
   return codec::DecodeFieldsExactly(x, n, what);
 }
 
+/// The int-list view of `values`, whose smallest and largest are known.
+PiViewPtr ColumnView(std::span<const int64_t> values, int64_t min,
+                     int64_t max) {
+  return std::make_shared<const IntColumn>(values, min, max);
+}
+
 /// Shared deserialize hook for the int-list-shaped Π payloads (sorted
 /// column, component labels, BDS ranks): one IntColumn at the narrowest
 /// width the values' range allows, decoded once per store entry instead
-/// of once per query.
+/// of once per query. The parse folds in the bounds the width needs.
 Result<PiViewPtr> DeserializeIntListView(
     const std::shared_ptr<const std::string>& prepared, CostMeter*) {
-  auto values = codec::DecodeInts(*prepared);
+  codec::IntBounds bounds;
+  auto values = codec::DecodeInts(*prepared, &bounds);
   if (!values.ok()) return values.status();
-  return PiViewPtr(std::make_shared<const IntColumn>(*values));
+  return ColumnView(*values, bounds.min, bounds.max);
 }
 
 const IntColumn& ColumnOf(const void* view) {
@@ -48,18 +55,132 @@ const IntColumn& ColumnOf(const void* view) {
 }
 
 /// encode_view for the int-list views: the member, connectivity, BDS and
-/// interval Π (and the member Δ-patch) all write their payload with
-/// codec::EncodeInts, so printing the column's values reproduces it byte
-/// for byte.
+/// interval Π print their payload from the column (EncodedPreprocess) and
+/// the member Δ-patch with codec::EncodeInts, so printing the column's
+/// values reproduces it byte for byte.
 Status EncodeIntListView(const void* view, std::string* out) {
   ColumnOf(view).AppendTo(out);
   return Status::OK();
+}
+
+size_t IntListEncodedSize(const void* view) {
+  return ColumnOf(view).EncodedSize();
 }
 
 /// view_bytes for the int-list views: the make_shared block plus the
 /// column's one buffer.
 size_t IntListViewBytes(const void* view) {
   return MakeSharedHeapBytes<IntColumn>() + ColumnOf(view).heap_bytes();
+}
+
+/// Makes `pi` the witness's Π (preprocess_view) with the int-list view
+/// hooks, and its string face the column printed.
+void SetIntListPi(
+    std::function<Result<PiViewPtr>(const std::string&, CostMeter*)> pi,
+    PiWitness* w) {
+  w->preprocess_view = std::move(pi);
+  w->deserialize = DeserializeIntListView;
+  w->encode_view = EncodeIntListView;
+  w->encoded_size = IntListEncodedSize;
+  w->view_bytes = IntListViewBytes;
+  w->preprocess = EncodedPreprocess(*w);
+}
+
+/// The member (and interval) Π: decode the list, radix-sort it, and hold
+/// it as a column whose bounds are the sorted ends.
+Result<PiViewPtr> SortedColumnPi(const std::string& data, CostMeter* meter) {
+  std::vector<std::string> storage;
+  auto fields =
+      codec::DecodeFieldViewsExactly(data, 2, "member data", &storage);
+  if (!fields.ok()) return fields.status();
+  auto list = codec::DecodeInts((*fields)[1]);
+  if (!list.ok()) return list.status();
+  parallel::RadixSortInts(&*list);
+  const auto n = static_cast<int64_t>(list->size());
+  if (meter != nullptr) {
+    meter->AddSerial(n * (ncsim::CeilLog2(n < 1 ? 1 : n) + 1));
+  }
+  if (list->empty()) return ColumnView(*list, 0, 0);
+  return ColumnView(*list, list->front(), list->back());
+}
+
+/// Distinct undirected edges, as Graph::FromEdges counts them: parallel
+/// edges once, a self-loop once.
+int64_t DistinctUndirectedEdges(
+    const std::vector<std::pair<graph::NodeId, graph::NodeId>>& edges) {
+  std::vector<int64_t> keys;
+  keys.reserve(edges.size());
+  for (const auto& [u, v] : edges) {
+    keys.push_back((int64_t{std::min(u, v)} << 32) | std::max(u, v));
+  }
+  parallel::RadixSortInts(&keys);
+  return std::unique(keys.begin(), keys.end()) - keys.begin();
+}
+
+/// The connectivity Π: component labels by union-find over the validated
+/// edge list. Each union links the larger root under the smaller, so a
+/// root is its component's smallest node, and numbering roots in node
+/// order gives the labels graph::ConnectedComponents' BFS gives. Charged
+/// n + |E|, |E| as Graph::FromEdges counts it.
+Result<PiViewPtr> ComponentLabelsPi(const std::string& data,
+                                    CostMeter* meter) {
+  std::vector<std::string> storage;
+  auto fields = codec::DecodeFieldViewsExactly(data, 1, "conn data", &storage);
+  if (!fields.ok()) return fields.status();
+  PITRACT_ASSIGN_OR_RETURN(graph::EdgeList list,
+                           graph::DecodeEdgeList((*fields)[0]));
+  if (list.directed) {
+    // Labels are symmetric; directed connectivity is reachability.
+    return Status::InvalidArgument(
+        "component labels need an undirected graph, got a directed one");
+  }
+  const auto n = static_cast<size_t>(list.num_nodes);
+  std::vector<graph::NodeId> parent(n);
+  for (size_t i = 0; i < n; ++i) parent[i] = static_cast<graph::NodeId>(i);
+  auto find = [&parent](graph::NodeId x) {
+    while (parent[static_cast<size_t>(x)] != x) {
+      // Path halving.
+      x = parent[static_cast<size_t>(x)] =
+          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
+    }
+    return x;
+  };
+  for (const auto& [u, v] : list.edges) {
+    const graph::NodeId ru = find(u);
+    const graph::NodeId rv = find(v);
+    if (ru < rv) {
+      parent[static_cast<size_t>(rv)] = ru;
+    } else if (rv < ru) {
+      parent[static_cast<size_t>(ru)] = rv;
+    }
+  }
+  std::vector<int64_t> labels(n);
+  int64_t components = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const auto root = static_cast<size_t>(find(static_cast<graph::NodeId>(i)));
+    labels[i] = root == i ? components++ : labels[root];
+  }
+  if (meter != nullptr) {
+    meter->AddSerial(static_cast<int64_t>(n) +
+                     DistinctUndirectedEdges(list.edges));
+  }
+  return ColumnView(labels, 0, components - 1);
+}
+
+/// The BDS Π (Example 5): run the breadth-depth search once and hold the
+/// rank of each node in the visit order M (the inverted list).
+Result<PiViewPtr> BdsRankPi(const std::string& data, CostMeter* meter) {
+  std::vector<std::string> storage;
+  auto fields = codec::DecodeFieldViewsExactly(data, 1, "bds data", &storage);
+  if (!fields.ok()) return fields.status();
+  auto g = graph::Graph::Decode((*fields)[0]);
+  if (!g.ok()) return g.status();
+  auto order = bds::BdsVisitOrder(*g, meter);
+  std::vector<int64_t> rank(order.size(), 0);
+  for (size_t pos = 0; pos < order.size(); ++pos) {
+    rank[static_cast<size_t>(order[pos])] = static_cast<int64_t>(pos);
+  }
+  return ColumnView(rank, 0, static_cast<int64_t>(order.size()) - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -371,21 +492,7 @@ Factorization GvpFactorization() {
 PiWitness MemberWitness() {
   PiWitness w;
   w.name = "sort+binary-search";
-  w.preprocess = [](const std::string& data,
-                    CostMeter* meter) -> Result<std::string> {
-    std::vector<std::string> storage;
-    auto fields =
-        codec::DecodeFieldViewsExactly(data, 2, "member data", &storage);
-    if (!fields.ok()) return fields.status();
-    auto list = codec::DecodeInts((*fields)[1]);
-    if (!list.ok()) return list.status();
-    parallel::RadixSortInts(&*list);
-    if (meter != nullptr) {
-      const auto n = static_cast<int64_t>(list->size());
-      meter->AddSerial(n * (ncsim::CeilLog2(n < 1 ? 1 : n) + 1));
-    }
-    return codec::EncodeInts(*list);
-  };
+  SetIntListPi(SortedColumnPi, &w);
   w.answer = [](const std::string& prepared, const std::string& query,
                 CostMeter* meter) -> Result<bool> {
     auto sorted = codec::DecodeInts(prepared);
@@ -399,9 +506,6 @@ PiWitness MemberWitness() {
   // their elements, move each into the column's frame (a key outside
   // [min, max] answers false) and run branchless lower_bound probes over
   // the offsets, one charge per batch — no O(|Π(D)|) re-decode.
-  w.deserialize = DeserializeIntListView;
-  w.encode_view = EncodeIntListView;
-  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -428,19 +532,7 @@ PiWitness MemberWitness() {
 PiWitness ConnWitness() {
   PiWitness w;
   w.name = "component-labels";
-  w.preprocess = [](const std::string& data,
-                    CostMeter* meter) -> Result<std::string> {
-    std::vector<std::string> storage;
-    auto fields =
-        codec::DecodeFieldViewsExactly(data, 1, "conn data", &storage);
-    if (!fields.ok()) return fields.status();
-    auto g = graph::Graph::Decode((*fields)[0]);
-    if (!g.ok()) return g.status();
-    auto comp = graph::ConnectedComponents(*g);
-    if (meter != nullptr) meter->AddSerial(g->num_nodes() + g->num_edges());
-    std::vector<int64_t> labels(comp.component.begin(), comp.component.end());
-    return codec::EncodeInts(labels);
-  };
+  SetIntListPi(ComponentLabelsPi, &w);
   w.answer = [](const std::string& prepared, const std::string& query,
                 CostMeter* meter) -> Result<bool> {
     auto labels = codec::DecodeInts(prepared);
@@ -458,9 +550,6 @@ PiWitness ConnWitness() {
   };
   // Decoded view: the component-label array — a warm query is two O(1)
   // label probes, gathered contiguously with branchless range checks.
-  w.deserialize = DeserializeIntListView;
-  w.encode_view = EncodeIntListView;
-  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntPairQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -476,23 +565,7 @@ PiWitness ConnWitness() {
 PiWitness BdsWitness() {
   PiWitness w;
   w.name = "BDS-order (Example 5)";
-  w.preprocess = [](const std::string& data,
-                    CostMeter* meter) -> Result<std::string> {
-    std::vector<std::string> storage;
-    auto fields =
-        codec::DecodeFieldViewsExactly(data, 1, "bds data", &storage);
-    if (!fields.ok()) return fields.status();
-    auto g = graph::Graph::Decode((*fields)[0]);
-    if (!g.ok()) return g.status();
-    // Π(G): run the breadth-depth search once; store the rank of each node
-    // in the visit order M (the inverted list).
-    auto order = bds::BdsVisitOrder(*g, meter);
-    std::vector<int64_t> rank(order.size(), 0);
-    for (size_t pos = 0; pos < order.size(); ++pos) {
-      rank[static_cast<size_t>(order[pos])] = static_cast<int64_t>(pos);
-    }
-    return codec::EncodeInts(rank);
-  };
+  SetIntListPi(BdsRankPi, &w);
   w.answer = [](const std::string& prepared, const std::string& query,
                 CostMeter* meter) -> Result<bool> {
     auto rank = codec::DecodeInts(prepared);
@@ -512,9 +585,6 @@ PiWitness BdsWitness() {
   // Decoded view: the rank array of Example 5's visit order M — a warm
   // query is two contiguous rank gathers, charged as the same two binary
   // searches, without re-decoding M.
-  w.deserialize = DeserializeIntListView;
-  w.encode_view = EncodeIntListView;
-  w.view_bytes = IntListViewBytes;
   w.decode_query = DecodeIntPairQueryHook;
   w.answer_view_batch = [](const void* view,
                            std::span<const DecodedQuery> queries,
@@ -824,8 +894,8 @@ QueryRewriter IntervalNormalizingRewriter() {
 PiWitness IntervalWitness() {
   PiWitness w;
   w.name = "sorted-list interval probe";
-  // Same Π as the membership witness: sort once.
-  w.preprocess = MemberWitness().preprocess;
+  // Same Π as the membership witness (sort once), same view of it.
+  SetIntListPi(SortedColumnPi, &w);
   w.answer = [](const std::string& prepared, const std::string& query,
                 CostMeter* meter) -> Result<bool> {
     auto sorted = codec::DecodeInts(prepared);
@@ -842,13 +912,9 @@ PiWitness IntervalWitness() {
     auto it = std::lower_bound(sorted->begin(), sorted->end(), lo);
     return it != sorted->end() && *it <= hi;
   };
-  // Same Π as the membership witness, same decoded view of it. Batches
-  // run one branchless lower_bound per interval; λ-rewritten entries
-  // (predicate-selection) pre-decode through the same rewriter chain, so
-  // the kernel only ever sees normalized [lo, hi] pairs.
-  w.deserialize = DeserializeIntListView;
-  w.encode_view = EncodeIntListView;
-  w.view_bytes = IntListViewBytes;
+  // Batches run one branchless lower_bound per interval; λ-rewritten
+  // entries (predicate-selection) pre-decode through the same rewriter
+  // chain, so the kernel only ever sees normalized [lo, hi] pairs.
   w.decode_query = [](const std::string& query, DecodedQuery* out,
                       std::vector<int64_t>* scratch) -> Status {
     std::vector<int64_t> local;

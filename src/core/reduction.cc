@@ -133,7 +133,17 @@ PiWitness Transport(const NcFactorReduction& r, const PiWitness& w2) {
   if (w2.has_view()) {
     w1.deserialize = w2.deserialize;
     w1.encode_view = w2.encode_view;
+    w1.encoded_size = w2.encoded_size;
     w1.view_bytes = w2.view_bytes;
+    if (w2.preprocess_view) {
+      // Π′ = preprocess_view ∘ α: the same Π as above, typed.
+      w1.preprocess_view = [alpha, preprocess_view2 = w2.preprocess_view](
+                               const std::string& data, CostMeter* meter) {
+        auto mapped = alpha(data);
+        if (!mapped.ok()) return Result<PiViewPtr>(mapped.status());
+        return preprocess_view2(*mapped, meter);
+      };
+    }
   }
   if (w2.answer_view) {
     auto answer_view2 = w2.answer_view;

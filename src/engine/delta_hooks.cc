@@ -141,9 +141,12 @@ core::PiWitness MemberBptreeWitness() {
     PITRACT_RETURN_IF_ERROR(tree->BulkLoad(entries));
     return core::PiViewPtr(std::move(tree));
   };
-  // The tree is not the int-list view MemberWitness encodes back: the
-  // entry keeps its payload.
+  // The tree is not the int-list view MemberWitness builds and encodes
+  // back: Π prints the payload (the member's string face) and the entry
+  // keeps it.
+  w.preprocess_view = nullptr;
   w.encode_view = nullptr;
+  w.encoded_size = nullptr;
   w.view_bytes = [](const void* view) {
     return MakeSharedHeapBytes<index::BPlusTree>() +
            static_cast<const index::BPlusTree*>(view)->HeapBytes();

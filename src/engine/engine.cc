@@ -60,6 +60,45 @@ PreparedStore::EntryOptions MakeEntryOptions(
   return options;
 }
 
+/// The miss-path Π over `data`, run against a local meter so the measured
+/// build lands in the witness's CostProfile (MergeFrom is an exact
+/// sequential fold: the caller's meter sees identical charges). A witness
+/// whose Π builds its view hands the store that view, admitted view-first
+/// with no Σ* payload printed or parsed; any other hands it the payload.
+PreparedStore::BuildFn MakeBuildFn(
+    const core::PiWitness& witness, CostProfile* profile,
+    const PreparedStore::EntryOptions& entry_options,
+    const std::string& data) {
+  const bool direct = witness.builds_view() && !entry_options.size_of;
+  return [&witness, profile, direct,
+          &data](CostMeter* m) -> Result<PreparedStore::Built> {
+    CostMeter local;
+    PreparedStore::Built built;
+    Status status;
+    if (direct) {
+      auto view = witness.preprocess_view(data, &local);
+      status = view.status();
+      if (view.ok()) {
+        built.view = std::move(view).value();
+        built.payload_bytes = witness.encoded_size(built.view.get());
+      }
+    } else {
+      auto payload = witness.preprocess(data, &local);
+      status = payload.status();
+      if (payload.ok()) {
+        built.payload = std::move(payload).value();
+        built.payload_bytes = built.payload.size();
+      }
+    }
+    if (m != nullptr) m->MergeFrom(local);
+    if (!status.ok()) return status;
+    if (profile != nullptr) {
+      profile->RecordBuild(data.size(), built.payload_bytes, local.work());
+    }
+    return built;
+  };
+}
+
 /// Σ*-string path: Π through the PreparedStore, answers via the *selected*
 /// witness (primary or a registered alternative) — through the memoized
 /// decoded view when that witness provides one, else via the string
@@ -101,22 +140,12 @@ class WitnessBatchPath : public BatchPath {
       return PrepareOutcome{/*ran_pi=*/false, /*cache_hit=*/true};
     }
     bool hit = false;
-    // Π runs against a local meter first so the measured build cost can be
-    // recorded into the witness's CostProfile; MergeFrom is an exact
-    // sequential fold, so the caller's meter sees identical charges.
-    auto compute = [this](CostMeter* m) -> Result<std::string> {
-      const std::string& data = *handle_->data;
-      CostMeter local;
-      auto built = witness_.preprocess(data, &local);
-      if (m != nullptr) m->MergeFrom(local);
-      if (built.ok() && profile_ != nullptr) {
-        profile_->RecordBuild(data.size(), built->size(), local.work());
-      }
-      return built;
-    };
     PITRACT_ASSIGN_OR_RETURN(
-        served_, store_->GetOrComputeView(handle_->key, compute, meter, &hit,
-                                          entry_options_));
+        served_,
+        store_->GetOrBuildView(
+            handle_->key,
+            MakeBuildFn(witness_, profile_, entry_options_, *handle_->data),
+            meter, &hit, entry_options_));
     return PrepareOutcome{/*ran_pi=*/!hit, /*cache_hit=*/hit};
   }
 
@@ -574,19 +603,11 @@ Status QueryEngine::Prepare(std::string_view problem,
   // chose; parsing it back out makes the preparer build exactly that Π.
   const SelectedWitness sel = ResolveWitnessFromKey(*e, key);
   bool hit = false;
-  auto compute = [&sel, &data](CostMeter* m) -> Result<std::string> {
-    CostMeter local;
-    auto built = sel.witness->preprocess(*data, &local);
-    if (m != nullptr) m->MergeFrom(local);
-    if (built.ok() && sel.profile != nullptr) {
-      sel.profile->RecordBuild(data->size(), built->size(), local.work());
-    }
-    return built;
-  };
-  auto prepared = store_.GetOrComputeView(
-      key, compute, meter, &hit,
-      MakeEntryOptions(*sel.witness, sel.size_of, e->spillable, sel.descriptor,
-                       data->size()));
+  const PreparedStore::EntryOptions options = MakeEntryOptions(
+      *sel.witness, sel.size_of, e->spillable, sel.descriptor, data->size());
+  auto prepared = store_.GetOrBuildView(
+      key, MakeBuildFn(*sel.witness, sel.profile, options, *data), meter,
+      &hit, options);
   if (!prepared.ok()) return prepared.status();
   if (ran_pi != nullptr) *ran_pi = !hit;
   return Status::OK();

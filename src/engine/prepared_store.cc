@@ -254,16 +254,29 @@ PreparedStore::PreparedView PreparedStore::ServeOf(
   return out;
 }
 
-void PreparedStore::FillEntry(const EntryOptions& entry_options,
-                              std::string payload, Entry* entry,
-                              CostMeter* meter) {
+void PreparedStore::FillEntry(const EntryOptions& entry_options, Built built,
+                              Entry* entry, CostMeter* meter) {
   // The entry is private to the caller (not yet published): plain writes
   // and relaxed markers suffice, the snapshot publish releases them.
-  entry->prepared = std::make_shared<const std::string>(std::move(payload));
-  entry->payload_bytes = entry->prepared->size();
   entry->spillable = entry_options.spillable;
   entry->view_loss_ops = entry_options.view_loss_ops;
   entry->evict_loss_ops = entry_options.evict_loss_ops;
+  if (built.view != nullptr) {
+    // Π built the view: admitted view-first, no payload ever held.
+    entry->payload_bytes = built.payload_bytes;
+    entry->size_bytes = DefaultSizeBytes(*entry);
+    entry->view = std::move(built.view);
+    entry->view_size_bytes.store(
+        ViewCharge(entry_options, entry->view, entry->payload_bytes),
+        std::memory_order_relaxed);
+    entry->view_ready.store(entry->view.get(), std::memory_order_relaxed);
+    entry->encode_view = entry_options.encode_view;
+    LocalStats().view_builds.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  entry->prepared =
+      std::make_shared<const std::string>(std::move(built.payload));
+  entry->payload_bytes = entry->prepared->size();
   entry->size_bytes = entry_options.size_of
                           ? entry_options.size_of(*entry->prepared)
                           : DefaultSizeBytes(*entry);
@@ -650,6 +663,18 @@ PreparedStore::EntryPtr PreparedStore::ResolveLineage(const Key& key) const {
 Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     const Key& key, const ComputeFn& compute, CostMeter* meter, bool* hit,
     const EntryOptions& entry_options) {
+  return GetOrBuildView(
+      key,
+      [&compute](CostMeter* m) -> Result<Built> {
+        PITRACT_ASSIGN_OR_RETURN(std::string payload, compute(m));
+        return Built{std::move(payload)};
+      },
+      meter, hit, entry_options);
+}
+
+Result<PreparedStore::PreparedView> PreparedStore::GetOrBuildView(
+    const Key& key, const BuildFn& build, CostMeter* meter, bool* hit,
+    const EntryOptions& entry_options) {
   const uint64_t digest = key.digest;
   Shard& shard = ShardFor(digest);
 
@@ -716,7 +741,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
   // the slot — waiters would block forever — so unwinds become a Status
   // and take the same failure path as a Status-returning Π.
   if (hit != nullptr) *hit = false;
-  Result<std::string> prepared = Status::Internal("Π did not run");
+  Result<Built> prepared = Status::Internal("Π did not run");
   // Cold-tier promotion: a previously demoted (or spilled) entry's v3
   // frame under this digest holds exactly Π(this data part) — reading one
   // file beats re-running Π. Any validation failure degrades silently to
@@ -728,7 +753,7 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
       if (meter != nullptr) {
         meter->AddBytesRead(static_cast<int64_t>(cold_payload.size()));
       }
-      prepared = std::move(cold_payload);
+      prepared = Built{std::move(cold_payload)};
       promoted = true;
       LocalStats().cold_promotions.fetch_add(1, std::memory_order_relaxed);
     }
@@ -741,11 +766,16 @@ Result<PreparedStore::PreparedView> PreparedStore::GetOrComputeView(
     prepared = Status::Internal("failpoint store.pi_build fired");
   } else {
     try {
-      prepared = compute(meter);
+      prepared = build(meter);
     } catch (const std::exception& e) {
       prepared = Status::Internal(std::string("Π threw: ") + e.what());
     } catch (...) {
       prepared = Status::Internal("Π threw a non-exception");
+    }
+    if (prepared.ok() && prepared->view != nullptr &&
+        (!entry_options.encode_view || entry_options.size_of)) {
+      prepared = Status::InvalidArgument(
+          "a view built by Π needs an encoder and the default size estimate");
     }
   }
   if (!prepared.ok()) {
@@ -911,7 +941,7 @@ Status PreparedStore::UpdateData(std::string_view problem,
   // The pre-patch decoded view must never survive a re-key: rebuild it
   // from the patched payload here (still outside every lock); a failed
   // build leaves a null view and the entry serves the string path.
-  FillEntry(entry_options, std::move(patched), fresh.get(), meter);
+  FillEntry(entry_options, Built{std::move(patched)}, fresh.get(), meter);
 
   // Phase 3: revalidate and publish atomically under both stripes; index
   // order keeps the two-lock acquisition acyclic (every other path holds

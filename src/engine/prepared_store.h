@@ -163,8 +163,9 @@ class PreparedStore {
     /// call and UpdateData two; the precomputed-Key overloads pay zero —
     /// the counter a warm digest-handle batch must leave untouched.
     int64_t key_builds = 0;
-    /// Decoded Π-views built (once per entry under the in-flight-dedup
-    /// discipline; again after a Load or a Δ-patch re-key).
+    /// Decoded Π-views built, by the ViewFn or by Π itself (see Built):
+    /// once per entry under the in-flight-dedup discipline; again after a
+    /// Load or a Δ-patch re-key.
     int64_t view_builds = 0;
     /// Hits that could not be served from the published snapshot and fell
     /// back to a probe under the shard mutex (a race with a concurrent
@@ -226,6 +227,18 @@ class PreparedStore {
   explicit PreparedStore(const Options& options);
 
   using ComputeFn = std::function<Result<std::string>(CostMeter*)>;
+  /// What a miss's Π produced: its Σ* payload, or — from a witness whose
+  /// Π builds its view directly (PiWitness::preprocess_view) — that view
+  /// and the exact size of the payload it encodes to. A view is admitted
+  /// view-first with no payload ever made and no ViewFn run, so it needs
+  /// EntryOptions::encode_view, and the entry is sized by the default
+  /// estimate (EntryOptions::size_of must be unset).
+  struct Built {
+    std::string payload;
+    std::shared_ptr<const void> view;
+    size_t payload_bytes = 0;  // |Π(D)|; read only with `view`
+  };
+  using BuildFn = std::function<Result<Built>(CostMeter*)>;
   /// Size-estimate hook for byte-budgeted eviction: maps a prepared Π(D)
   /// payload to its resident byte estimate.
   using SizeFn = std::function<size_t(const std::string&)>;
@@ -361,6 +374,12 @@ class PreparedStore {
                                         const ComputeFn& compute,
                                         CostMeter* meter, bool* hit,
                                         const EntryOptions& entry_options);
+  /// GetOrComputeView whose miss runs `build`, which may hand over the
+  /// view itself (see Built). Counted like any view build
+  /// (Stats::view_builds), charged |Π(D)| as payload_bytes.
+  Result<PreparedView> GetOrBuildView(const Key& key, const BuildFn& build,
+                                      CostMeter* meter, bool* hit,
+                                      const EntryOptions& entry_options);
 
   /// Warm-only probe for the completion pipeline: serves the entry iff it
   /// is resident in the published snapshot, and *never* runs Π, blocks on
@@ -772,10 +791,11 @@ class PreparedStore {
   static PreparedView ServeOf(EntryPtr entry,
                               std::shared_ptr<const void> view);
   /// Fills a fresh, unpublished entry from Π's (or a patch's) output:
-  /// payload, options, size estimate, and the view; a view-first entry
-  /// then drops its payload. Shared by the miss winner and the Δ-patch.
-  void FillEntry(const EntryOptions& entry_options, std::string payload,
-                 Entry* entry, CostMeter* meter);
+  /// payload, options, size estimate, and the view (built by the ViewFn,
+  /// or handed over by Π); a view-first entry then drops its payload.
+  /// Shared by the miss winner and the Δ-patch.
+  void FillEntry(const EntryOptions& entry_options, Built built, Entry* entry,
+                 CostMeter* meter);
   /// Appends the entry's payload to `out`: a copy of the held bytes, or
   /// the view encoded in place (one Stats::payload_encodes) for a
   /// view-first entry. An encoder that produces other than payload_bytes

@@ -7,9 +7,12 @@
 namespace pitract {
 namespace graph {
 
-Result<Graph> Graph::FromEdges(
-    NodeId num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges,
-    bool directed, bool dedup) {
+namespace {
+
+/// The checks FromEdges makes of its arguments: n >= 0, every endpoint in
+/// [0, n).
+Status CheckEdges(NodeId num_nodes,
+                  const std::vector<std::pair<NodeId, NodeId>>& edges) {
   if (num_nodes < 0) {
     return Status::InvalidArgument("negative node count n=" +
                                    std::to_string(num_nodes));
@@ -21,6 +24,21 @@ Result<Graph> Graph::FromEdges(
           ") out of range for n=" + std::to_string(num_nodes));
     }
   }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<Graph> Graph::FromEdges(
+    NodeId num_nodes, const std::vector<std::pair<NodeId, NodeId>>& edges,
+    bool directed, bool dedup) {
+  PITRACT_RETURN_IF_ERROR(CheckEdges(num_nodes, edges));
+  return Build(num_nodes, edges, directed, dedup);
+}
+
+Graph Graph::Build(NodeId num_nodes,
+                   const std::vector<std::pair<NodeId, NodeId>>& edges,
+                   bool directed, bool dedup) {
   Graph g;
   g.num_nodes_ = num_nodes;
   g.directed_ = directed;
@@ -136,7 +154,7 @@ std::string Graph::Encode() const {
                               codec::EncodeInts(flat)});
 }
 
-Result<Graph> Graph::Decode(std::string_view encoded) {
+Result<EdgeList> DecodeEdgeList(std::string_view encoded) {
   std::vector<std::string> storage;
   auto fields =
       codec::DecodeFieldViewsExactly(encoded, 3, "graph encoding", &storage);
@@ -153,11 +171,12 @@ Result<Graph> Graph::Decode(std::string_view encoded) {
                                    std::to_string((*n_field)[0]) +
                                    " does not fit a NodeId");
   }
-  bool directed;
+  EdgeList list;
+  list.num_nodes = static_cast<NodeId>((*n_field)[0]);
   if ((*fields)[1] == "d") {
-    directed = true;
+    list.directed = true;
   } else if ((*fields)[1] == "u") {
-    directed = false;
+    list.directed = false;
   } else {
     return Status::InvalidArgument("bad directedness tag: " +
                                    std::string((*fields)[1]));
@@ -167,8 +186,7 @@ Result<Graph> Graph::Decode(std::string_view encoded) {
   if (flat->size() % 2 != 0) {
     return Status::InvalidArgument("odd edge-endpoint count");
   }
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  edges.reserve(flat->size() / 2);
+  list.edges.reserve(flat->size() / 2);
   for (size_t i = 0; i < flat->size(); i += 2) {
     const int64_t u = (*flat)[i];
     const int64_t v = (*flat)[i + 1];
@@ -177,9 +195,15 @@ Result<Graph> Graph::Decode(std::string_view encoded) {
                                      std::to_string(v) +
                                      ") does not fit a NodeId");
     }
-    edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
+    list.edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));
   }
-  return FromEdges(static_cast<NodeId>((*n_field)[0]), edges, directed);
+  PITRACT_RETURN_IF_ERROR(CheckEdges(list.num_nodes, list.edges));
+  return list;
+}
+
+Result<Graph> Graph::Decode(std::string_view encoded) {
+  PITRACT_ASSIGN_OR_RETURN(EdgeList list, DecodeEdgeList(encoded));
+  return Build(list.num_nodes, list.edges, list.directed, /*dedup=*/true);
 }
 
 }  // namespace graph

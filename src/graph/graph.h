@@ -75,15 +75,37 @@ class Graph {
 
   /// Σ*-encoding "n#directed#src,dst,src,dst,..." per Section 3.
   std::string Encode() const;
+  /// DecodeEdgeList, then the CSR of its edges (de-duplicated).
   static Result<Graph> Decode(std::string_view encoded);
 
  private:
+  /// FromEdges after its checks: the CSR of edges already validated.
+  static Graph Build(NodeId num_nodes,
+                     const std::vector<std::pair<NodeId, NodeId>>& edges,
+                     bool directed, bool dedup);
+
   NodeId num_nodes_ = 0;
   int64_t num_edges_ = 0;
   bool directed_ = true;
   std::vector<int64_t> offsets_;  // size num_nodes_ + 1
   std::vector<NodeId> adj_;
 };
+
+/// A graph encoding decoded and validated, before any CSR is built: the
+/// node count, the directedness tag and the edges as written (parallel
+/// edges and self-loops included).
+struct EdgeList {
+  NodeId num_nodes = 0;
+  bool directed = true;
+  std::vector<std::pair<NodeId, NodeId>> edges;
+};
+
+/// Decodes Graph::Encode's "n#d|u#src,dst,..." and makes every check
+/// Graph::Decode makes, in the same order and with the same Status: field
+/// count, numerals, NodeId range of n and of each endpoint, directedness
+/// tag, even endpoint count, n >= 0 and endpoints in [0, n). For callers
+/// that need the edges, not the CSR (the connectivity Π).
+Result<EdgeList> DecodeEdgeList(std::string_view encoded);
 
 }  // namespace graph
 }  // namespace pitract

@@ -76,9 +76,16 @@ std::string ShapeName(const Shape& shape, size_t n) {
          std::to_string(shape.range) + " n " + std::to_string(n);
 }
 
+/// The column of `values`, given the bounds its builders know.
+IntColumn MakeColumn(const std::vector<int64_t>& values) {
+  if (values.empty()) return IntColumn(values, 0, 0);
+  const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+  return IntColumn(values, *lo, *hi);
+}
+
 TEST(IntColumnTest, EmptyColumn) {
   const std::vector<int64_t> none;
-  const IntColumn column(none);
+  const IntColumn column = MakeColumn(none);
   EXPECT_EQ(column.size(), 0u);
   EXPECT_EQ(column.width(), 2u);
   EXPECT_EQ(column.max_offset(), 0u);
@@ -86,12 +93,13 @@ TEST(IntColumnTest, EmptyColumn) {
   std::string text = "kept";
   column.AppendTo(&text);
   EXPECT_EQ(text, "kept");
+  EXPECT_EQ(column.EncodedSize(), 0u);
 }
 
 TEST(IntColumnTest, SingleValueColumns) {
   for (int64_t v : {kMin, int64_t{-1}, int64_t{0}, int64_t{42}, kMax}) {
     const std::vector<int64_t> one = {v};
-    const IntColumn column(one);
+    const IntColumn column = MakeColumn(one);
     EXPECT_EQ(column.size(), 1u);
     EXPECT_EQ(column.width(), 2u);
     EXPECT_EQ(column.base(), v);
@@ -105,12 +113,12 @@ TEST(IntColumnTest, SingleValueColumns) {
 
 TEST(IntColumnTest, WidthFollowsTheRange) {
   Rng rng(1801);
-  // 40,000 values run the min/max and narrowing passes on the pool.
+  // 40,000 values run the narrowing and printing passes on the pool.
   for (size_t n : {size_t{2}, size_t{37}, size_t{40000}}) {
     for (const Shape& shape : Shapes()) {
       SCOPED_TRACE(ShapeName(shape, n));
       const std::vector<int64_t> values = ValuesOf(shape, n, &rng);
-      const IntColumn column(values);
+      const IntColumn column = MakeColumn(values);
       ASSERT_EQ(column.size(), n);
       EXPECT_EQ(column.width(), shape.width);
       EXPECT_EQ(column.min(), shape.base);
@@ -123,13 +131,14 @@ TEST(IntColumnTest, WidthFollowsTheRange) {
       std::string text = "x,";
       column.AppendTo(&text);
       EXPECT_EQ(text, "x," + codec::EncodeInts(values));
+      EXPECT_EQ(column.EncodedSize(), text.size() - 2);
     }
   }
 }
 
 TEST(IntColumnTest, KeysMoveIntoTheFrameWithoutWrapping) {
   const std::vector<int64_t> values = {-70000, -5000, -70000 + 65535};
-  const IntColumn column(values);
+  const IntColumn column = MakeColumn(values);
   ASSERT_EQ(column.width(), 2u);
   uint16_t offset = 1;
   EXPECT_TRUE(column.Offset(-70000, &offset));

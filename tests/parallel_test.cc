@@ -94,6 +94,19 @@ TEST(ParallelCodecTest, EncodeDecodeAndSortMatchSerialReferences) {
       auto decoded = codec::DecodeInts(text);
       ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
       ASSERT_EQ(*decoded, keys);
+      ASSERT_EQ(codec::EncodedIntsSize(keys), text.size());
+      // The bounds folded into the chunked parse.
+      codec::IntBounds bounds{1, -1};
+      auto bounded = codec::DecodeInts(text, &bounds);
+      ASSERT_TRUE(bounded.ok());
+      ASSERT_EQ(*bounded, keys);
+      if (keys.empty()) {
+        EXPECT_EQ(bounds.min, 0);
+        EXPECT_EQ(bounds.max, 0);
+      } else {
+        EXPECT_EQ(bounds.min, *std::min_element(keys.begin(), keys.end()));
+        EXPECT_EQ(bounds.max, *std::max_element(keys.begin(), keys.end()));
+      }
       std::vector<int64_t> serial;
       ASSERT_TRUE(codec::DecodeIntsInto(text, &serial).ok());
       ASSERT_EQ(serial, keys);
@@ -138,14 +151,19 @@ TEST(ParallelCodecTest, DecodeMatchesAtByteSizesAroundTheGrain) {
 /// values, or the same Status code and message.
 void ExpectSameAsSerial(const std::string& text) {
   auto parallel = codec::DecodeInts(text);
+  codec::IntBounds bounds;
+  auto bounded = codec::DecodeInts(text, &bounds);
   std::vector<int64_t> serial_values;
   const Status serial = codec::DecodeIntsInto(text, &serial_values);
   ASSERT_EQ(parallel.ok(), serial.ok()) << serial.ToString();
+  ASSERT_EQ(bounded.ok(), serial.ok());
   if (serial.ok()) {
     EXPECT_EQ(*parallel, serial_values);
+    EXPECT_EQ(*bounded, serial_values);
   } else {
     EXPECT_EQ(parallel.status().code(), serial.code());
     EXPECT_EQ(parallel.status().message(), serial.message());
+    EXPECT_EQ(bounded.status().message(), serial.message());
   }
 }
 

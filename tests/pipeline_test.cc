@@ -179,9 +179,11 @@ TEST(ServePipelineTest, TwoColdPiAtOnceShareThePoolOneRunsInline) {
   entry.paper_anchor = "test-only";
   entry.has_language = true;
   entry.witness = core::MemberWitness();
-  entry.witness.preprocess =
-      [&, member_pi = entry.witness.preprocess](
-          const std::string& data, CostMeter* meter) -> Result<std::string> {
+  // The member Π is its preprocess_view (preprocess prints its result).
+  entry.witness.preprocess_view =
+      [&, member_pi = entry.witness.preprocess_view](
+          const std::string& data,
+          CostMeter* meter) -> Result<core::PiViewPtr> {
     in_flight.fetch_add(1);
     while (in_flight.load() < 2 && std::chrono::steady_clock::now() < give_up) {
       std::this_thread::yield();

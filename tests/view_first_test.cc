@@ -110,6 +110,8 @@ core::PiWitness WideMemberWitness() {
   using Column = std::vector<int64_t>;
   core::PiWitness w = core::MemberWitness();
   w.name = "wide-sorted-column";
+  // Π prints the payload and the store decodes it into this wider view.
+  w.preprocess_view = nullptr;
   w.deserialize = [](const std::shared_ptr<const std::string>& prepared,
                      CostMeter*) -> Result<core::PiViewPtr> {
     auto values = codec::DecodeInts(*prepared);
